@@ -7,9 +7,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "baselines/graphgrind_v1.hpp"
-#include "baselines/ligra.hpp"
-#include "baselines/polymer.hpp"
+#include "baselines/chunked.hpp"
 #include "engine/engine.hpp"
 #include "runners.hpp"
 #include "suite.hpp"
@@ -39,17 +37,17 @@ void report(const std::string& graph_name) {
     ThreadCountGuard guard(nt);
     std::vector<std::string> row = {std::to_string(nt)};
     {
-      baselines::LigraEngine eng(g);
+      auto eng = baselines::ligra(g);
       row.push_back(
           Table::num(bench::time_algorithm("PRDelta", eng, source, rounds), 4));
     }
     {
-      baselines::PolymerEngine eng(g);
+      auto eng = baselines::polymer(g);
       row.push_back(
           Table::num(bench::time_algorithm("PRDelta", eng, source, rounds), 4));
     }
     {
-      baselines::GraphGrindV1Engine eng(g);
+      auto eng = baselines::graphgrind_v1(g);
       row.push_back(
           Table::num(bench::time_algorithm("PRDelta", eng, source, rounds), 4));
     }

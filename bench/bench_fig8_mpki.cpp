@@ -1,7 +1,7 @@
 // Fig 8 — last-level-cache misses per kilo-instruction (MPKI) versus the
 // number of partitions, Twitter-like and Friendster-like.
 //
-// Substitution (DESIGN.md §1): the paper reads hardware counters on a
+// Substitution: the paper reads hardware counters on a
 // 48-thread machine; we replay the traversal's memory trace — as seen by 48
 // concurrent workers sharing one LLC — through a set-associative LRU model.
 // The mechanism this reproduces is the paper's:

@@ -8,9 +8,7 @@
 // to ~40 %; USAroad is hard for everyone but GG-v2 still leads.
 #include <iostream>
 
-#include "baselines/graphgrind_v1.hpp"
-#include "baselines/ligra.hpp"
-#include "baselines/polymer.hpp"
+#include "baselines/chunked.hpp"
 #include "engine/engine.hpp"
 #include "runners.hpp"
 #include "suite.hpp"
@@ -44,15 +42,15 @@ int main() {
     for (const auto& code : bench::algorithm_codes()) {
       double tl, tp, t1, t2;
       {
-        baselines::LigraEngine eng(g);
+        auto eng = baselines::ligra(g);
         tl = bench::time_algorithm(code, eng, source, rounds);
       }
       {
-        baselines::PolymerEngine eng(g);
+        auto eng = baselines::polymer(g);
         tp = bench::time_algorithm(code, eng, source, rounds);
       }
       {
-        baselines::GraphGrindV1Engine eng(g);
+        auto eng = baselines::graphgrind_v1(g);
         t1 = bench::time_algorithm(code, eng, source, rounds);
       }
       {

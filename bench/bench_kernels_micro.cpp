@@ -108,8 +108,8 @@ struct AccumOp {
 
 // ---------------------------------------------------------------- kernels ---
 
-/// Fresh-allocation path (the engine's historical behaviour): every call
-/// rebuilds the frontier and allocates its own scratch (ws == nullptr).
+/// Fresh-allocation path: every call rebuilds the frontier and gets a fresh
+/// workspace, so it allocates all of its scratch.
 void run_layout(benchmark::State& state, engine::Layout layout,
                 engine::AtomicsMode atomics) {
   const auto& g = micro_graph();
@@ -122,7 +122,8 @@ void run_layout(benchmark::State& state, engine::Layout layout,
   for (auto _ : state) {
     const std::uint64_t before = allocs_now();
     Frontier all = Frontier::all(g.num_vertices(), &g.csr());
-    engine::edge_map(g, all, AccumOp{acc.data(), x.data()}, opts);
+    engine::TraversalWorkspace ws;
+    engine::edge_map(g, all, AccumOp{acc.data(), x.data()}, ws, opts);
     benchmark::DoNotOptimize(acc.data());
     allocs += allocs_now() - before;
   }
@@ -230,7 +231,9 @@ void BM_SparsePush(benchmark::State& state) {
     Frontier f = Frontier::from_vertices(g.num_vertices(), verts, &g.csr());
     AccumOp op{acc.data(), x.data()};
     eid_t edges = 0;
-    engine::traverse_csr_sparse(g, f, op, &edges);
+    engine::TraversalWorkspace ws;  // fresh: measures cold-scratch cost
+    engine::traverse_csr_sparse(g, f, op, g.csr(), g.csr(), &edges, ws,
+                                /*prefetch=*/false);
     benchmark::DoNotOptimize(edges);
   }
 }
@@ -249,7 +252,8 @@ void BM_SparsePush_Reused(benchmark::State& state) {
     const std::uint64_t before = allocs_now();
     AccumOp op{acc.data(), x.data()};
     eid_t edges = 0;
-    Frontier next = engine::traverse_csr_sparse(g, f, op, &edges, &ws);
+    Frontier next = engine::traverse_csr_sparse(g, f, op, g.csr(), g.csr(),
+                                                &edges, ws, /*prefetch=*/false);
     next.into_workspace(ws);
     benchmark::DoNotOptimize(edges);
     allocs += allocs_now() - before;
@@ -278,7 +282,8 @@ void BM_FrontierDenseToSparse(benchmark::State& state) {
   for (auto _ : state) {
     Bitmap copy = bits;
     Frontier f = Frontier::from_bitmap(std::move(copy));
-    f.to_sparse();
+    engine::TraversalWorkspace ws;  // fresh: measures cold-scratch cost
+    f.to_sparse(ws);
     benchmark::DoNotOptimize(f.vertices().data());
   }
 }

@@ -1,5 +1,5 @@
 // Table I — characterisation of the benchmark graph suite (the scaled
-// stand-ins for the paper's data sets; DESIGN.md §1).
+// stand-ins for the paper's data sets; bench/suite.hpp).
 //
 // Paper columns: Vertices | Edges | Type.  We add the degree statistics the
 // substitution must preserve (edges-per-vertex regime and skew).

@@ -1,5 +1,5 @@
 // The benchmark graph suite: scaled synthetic stand-ins for the paper's
-// Table I data sets (DESIGN.md §1 documents the substitution).  Names match
+// Table I data sets.  Names match
 // the paper; shapes (directedness, degree skew, vertex:edge ratio regime)
 // follow the originals at ≈1/500 scale.  GG_SCALE (env, default 1.0)
 // multiplies sizes; all generators are seeded and deterministic.

@@ -10,7 +10,8 @@
 //   }  // namespace
 //
 // The generic run lambda is instantiated here once per known engine type —
-// the primary engine::Engine plus the Fig-9 baseline engines — and stored
+// the primary engine::Engine plus baselines::ChunkedEngine, which serves
+// all three Fig-9 baselines (Ligra, Polymer, GG-v1) — and stored
 // in the descriptor's type-indexed runner table, so the same registration
 // makes the algorithm runnable from the service (primary engine), ggtool,
 // the bench suite (all engines) and the fuzzer.  This header is the ONE
@@ -26,9 +27,7 @@
 #include <utility>
 
 #include "algorithms/registry.hpp"
-#include "baselines/graphgrind_v1.hpp"
-#include "baselines/ligra.hpp"
-#include "baselines/polymer.hpp"
+#include "baselines/chunked.hpp"
 #include "engine/engine.hpp"
 
 namespace grind::algorithms {
@@ -38,9 +37,7 @@ class RegisterAlgorithm {
   template <typename RunFn>
   RegisterAlgorithm(AlgorithmDesc desc, RunFn run) {
     desc.add_runner<engine::Engine>(run);
-    desc.add_runner<baselines::LigraEngine>(run);
-    desc.add_runner<baselines::PolymerEngine>(run);
-    desc.add_runner<baselines::GraphGrindV1Engine>(run);
+    desc.add_runner<baselines::ChunkedEngine>(run);
     AlgorithmRegistry::instance().add(std::move(desc));
   }
 };

@@ -7,7 +7,7 @@
 // through this model instead.  The response of MPKI to the partitioning
 // degree — halving for edge-oriented algorithms, flat for BFS — is a
 // property of the access stream, which the model preserves exactly
-// (DESIGN.md §1, substitution table).
+// (bench/bench_fig8_mpki.cpp describes the replay).
 #pragma once
 
 #include <cstddef>

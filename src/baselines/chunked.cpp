@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sys/numa.hpp"
+
 namespace grind::baselines {
 
 namespace {
@@ -10,20 +12,20 @@ vid_t round_up_64(vid_t v, vid_t n) {
 }
 }  // namespace
 
-std::vector<VertexChunk> make_uniform_chunks(vid_t n, vid_t chunk) {
+std::vector<VertexRange> make_uniform_chunks(vid_t n, vid_t chunk) {
   chunk = std::max<vid_t>(64, (chunk / 64) * 64);  // multiple of 64 ≥ 64
-  std::vector<VertexChunk> out;
+  std::vector<VertexRange> out;
   for (vid_t v = 0; v < n; v += chunk)
     out.push_back({v, std::min<vid_t>(n, v + chunk)});
   if (out.empty()) out.push_back({0, n});
   return out;
 }
 
-std::vector<VertexChunk> make_edge_balanced_chunks(const graph::Csr& adj,
+std::vector<VertexRange> make_edge_balanced_chunks(const graph::Csr& adj,
                                                    eid_t target_edges) {
   const vid_t n = adj.num_vertices();
   const auto offsets = adj.offsets();
-  std::vector<VertexChunk> out;
+  std::vector<VertexRange> out;
   if (n == 0) {
     out.push_back({0, 0});
     return out;
@@ -43,9 +45,9 @@ std::vector<VertexChunk> make_edge_balanced_chunks(const graph::Csr& adj,
   return out;
 }
 
-std::vector<VertexChunk> make_partitioned_uniform_chunks(vid_t n, int parts,
+std::vector<VertexRange> make_partitioned_uniform_chunks(vid_t n, int parts,
                                                          vid_t chunk) {
-  std::vector<VertexChunk> out;
+  std::vector<VertexRange> out;
   if (parts < 1) parts = 1;
   chunk = std::max<vid_t>(64, (chunk / 64) * 64);
   vid_t prev = 0;
@@ -67,6 +69,25 @@ std::vector<VertexChunk> make_partitioned_uniform_chunks(vid_t n, int parts,
 
 bool ligra_is_dense(eid_t weight, eid_t m) {
   return static_cast<double>(weight) > static_cast<double>(m) / 20.0;
+}
+
+ChunkedEngine ligra(const graph::Graph& g) {
+  auto chunks = make_uniform_chunks(g.num_vertices(), kChunkVertices);
+  return ChunkedEngine(g, "Ligra", chunks, chunks);
+}
+
+ChunkedEngine polymer(const graph::Graph& g) {
+  auto chunks = make_partitioned_uniform_chunks(
+      g.num_vertices(), NumaModel::kDefaultDomains, kChunkVertices);
+  return ChunkedEngine(g, "Polymer", chunks, chunks);
+}
+
+ChunkedEngine graphgrind_v1(const graph::Graph& g) {
+  const eid_t target = std::max<eid_t>(
+      1, g.num_edges() / (static_cast<eid_t>(num_threads()) * 8));
+  return ChunkedEngine(g, "GraphGrind-v1",
+                       make_edge_balanced_chunks(g.csc(), target),
+                       make_edge_balanced_chunks(g.csr(), target));
 }
 
 }  // namespace grind::baselines

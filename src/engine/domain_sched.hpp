@@ -261,37 +261,27 @@ class DomainScheduleCache {
 /// once, home-domain threads first, gated stealing for load balance.
 /// `owner` is the graph the items belong to (cache-key half alongside
 /// `token`, the item container's address).  `cache` (normally
-/// &ws->domain_schedules()) reuses prepared schedules; nullptr builds a
-/// throwaway one, matching the kernels' historical allocate-per-call
-/// behaviour when no workspace is supplied.
+/// ws.domain_schedules()) reuses prepared schedules.
 template <typename DomainOf, typename Body>
 AffineCounts affine_for(const NumaModel& numa, const void* owner,
                         const void* token, std::size_t n,
-                        DomainScheduleCache* cache, DomainOf&& domain_of,
+                        DomainScheduleCache& cache, DomainOf&& domain_of,
                         Body&& body) {
   if (n == 0) return {};
   const int nt = std::max(1, num_threads());
   const int pref = preferred_domain();
-  DomainSchedule local;
-  DomainSchedule* sched;
-  if (cache != nullptr) {
-    sched = &cache->get(numa, owner, token, n, nt, pref,
-                        std::forward<DomainOf>(domain_of));
-  } else {
-    local.prepare(numa, owner, token, n, nt, pref,
-                  std::forward<DomainOf>(domain_of));
-    sched = &local;
-  }
-  if (!sched->serial()) return sched->run(std::forward<Body>(body));
+  DomainSchedule& sched = cache.get(numa, owner, token, n, nt, pref,
+                                    std::forward<DomainOf>(domain_of));
+  if (!sched.serial()) return sched.run(std::forward<Body>(body));
 
   // Serial traversal (1-thread budget or a single item): claim-free plain
   // loop over the rotated buckets, inline here so the body stays flattened
   // into the calling kernel's frame (see DomainSchedule::serial()).
   AffineCounts total;
-  const int D = sched->domains();
-  const int home = sched->home_domain(0);
+  const int D = sched.domains();
+  const int home = sched.home_domain(0);
   for (int k = 0; k < D; ++k) {
-    const auto b = sched->bucket((home + k) % D);
+    const auto b = sched.bucket((home + k) % D);
     std::uint64_t weight = 0;
     for (const std::size_t item : b)
       weight += static_cast<std::uint64_t>(body(item));

@@ -105,6 +105,15 @@ inline bool decide_atomics(const graph::Graph& g, const Options& opts) {
          static_cast<part_t>(num_threads());
 }
 
+/// Computation ranges of the backward gather: vertex- or edge-balanced per
+/// the running algorithm's orientation (§III-D).
+inline const partition::Partitioning& gather_ranges(const graph::Graph& g,
+                                                    const Options& opts) {
+  return opts.csc_balance == partition::BalanceMode::kVertices
+             ? g.partitioning_vertices()
+             : g.partitioning_edges();
+}
+
 /// Apply `op` to the out-edges of the active vertices of `f`; returns the
 /// new frontier of vertices whose update returned true.
 ///
@@ -112,15 +121,14 @@ inline bool decide_atomics(const graph::Graph& g, const Options& opts) {
 /// representation (sparse list ↔ bitmap) in place; its logical content is
 /// unchanged.
 ///
-/// `ws`, when non-null, supplies all transient kernel state (next-frontier
-/// bitmap, per-thread buffers, edge counters) from reusable pools so that
-/// steady-state iterations of a traversal loop perform no heap allocation.
-/// With ws == nullptr every call allocates fresh scratch, matching the
-/// historical behaviour.
+/// `ws` supplies all transient kernel state (next-frontier bitmap,
+/// per-thread buffers, edge counters, domain schedules) from reusable pools
+/// so that steady-state iterations of a traversal loop perform no heap
+/// allocation.
 template <EdgeOperator Op>
 Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
-                  const Options& opts = {}, TraversalStats* stats = nullptr,
-                  TraversalWorkspace* ws = nullptr) {
+                  TraversalWorkspace& ws, const Options& opts = {},
+                  TraversalStats* stats = nullptr) {
   const sys::CancelToken* token = opts.cancel.get();
   poll_cancel(token);
   if (f.empty()) return Frontier::empty(g.num_vertices());
@@ -139,19 +147,16 @@ Frontier edge_map(const graph::Graph& g, Frontier& f, Op op,
   AffineCounts affinity;  // home/stolen split of the partition schedulers
   switch (kind) {
     case TraversalKind::kSparseCsr:
-      out = traverse_csr_sparse(g, f, op, &edges, ws, opts.prefetch);
+      out = traverse_csr_sparse(g, f, op, g.csr(), g.csr(), &edges, ws,
+                                opts.prefetch);
       used_atomics = true;  // sparse forward inherently uses update_atomic
       break;
-    case TraversalKind::kBackwardCsc: {
-      const auto& ranges =
-          opts.csc_balance == partition::BalanceMode::kVertices
-              ? g.partitioning_vertices()
-              : g.partitioning_edges();
-      out = traverse_csc_backward(g, f, op, ranges, &edges, ws, &affinity,
-                                  token, opts.prefetch);
+    case TraversalKind::kBackwardCsc:
+      out = traverse_csc_backward(g, f, op, g.csc(), g.csr(),
+                                  gather_ranges(g, opts), &edges, ws,
+                                  &affinity, token, opts.prefetch);
       used_atomics = false;  // backward is single-writer by construction
       break;
-    }
     case TraversalKind::kDenseCoo:
       out = traverse_coo(g, f, op, atomics, &edges, ws, &affinity, token);
       used_atomics = atomics;

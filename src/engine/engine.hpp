@@ -36,9 +36,9 @@ class Engine {
   /// that recycle() retired frontiers run allocation-free at steady state.
   template <EdgeOperator Op>
   Frontier edge_map(Frontier& f, Op op) {
-    Frontier out = engine::edge_map(*graph_, f, std::move(op), opts_,
-                                    opts_.collect_stats ? &stats_ : nullptr,
-                                    &workspace());
+    Frontier out = engine::edge_map(*graph_, f, std::move(op), workspace(),
+                                    opts_,
+                                    opts_.collect_stats ? &stats_ : nullptr);
     ++sweeps_done_;
     return out;
   }
@@ -46,10 +46,9 @@ class Engine {
   /// Apply an edge operator over the transposed graph (data flows d→s).
   template <EdgeOperator Op>
   Frontier edge_map_transpose(Frontier& f, Op op) {
-    Frontier out =
-        engine::edge_map_transpose(*graph_, f, std::move(op), opts_,
-                                   opts_.collect_stats ? &stats_ : nullptr,
-                                   &workspace());
+    Frontier out = engine::edge_map_transpose(
+        *graph_, f, std::move(op), workspace(), opts_,
+        opts_.collect_stats ? &stats_ : nullptr);
     ++sweeps_done_;
     return out;
   }

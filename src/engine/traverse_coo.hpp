@@ -6,9 +6,10 @@
 //
 // Two variants reproduce the "+na" / "+a" configurations of Figs 5–6:
 //   * no-atomics: one task per partition.  Partitioning-by-destination makes
-//     every partition's update set disjoint, and 64-vertex-aligned partition
-//     boundaries keep next-frontier bitmap words single-writer, so plain
-//     loads/stores suffice (§III-C).
+//     every partition's update set disjoint, so plain loads/stores suffice
+//     for the vertex values (§III-C); next-frontier bits go through
+//     OwnedRangeBits, atomic only on a bitmap word shared with a
+//     neighbouring partition.
 //   * atomics: each partition's edge range is split into fixed-size chunks
 //     (providing intra-partition parallelism when P < threads); chunks of
 //     the same partition may update a destination concurrently, requiring
@@ -41,23 +42,23 @@ namespace grind::engine {
 template <EdgeOperator Op>
 Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
                       bool use_atomics, eid_t* edges_examined,
-                      TraversalWorkspace* ws = nullptr,
-                      AffineCounts* affinity = nullptr,
-                      const sys::CancelToken* cancel = nullptr) {
+                      TraversalWorkspace& ws, AffineCounts* affinity,
+                      const sys::CancelToken* cancel) {
   f.to_dense(ws);
   const auto& coo = g.coo();
   const NumaModel& numa = g.numa();
-  DomainScheduleCache* sched =
-      ws != nullptr ? &ws->domain_schedules() : nullptr;
+  DomainScheduleCache& sched = ws.domain_schedules();
   const Bitmap& in = f.bitmap();
-  Bitmap next =
-      ws != nullptr ? ws->acquire_bitmap(g.num_vertices()) : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
 
   if (edges_examined != nullptr) *edges_examined = coo.num_edges();
 
   AffineCounts counts;
   const part_t np = coo.num_partitions();
   if (!use_atomics) {
+    // Partition p of the COO holds the in-edges of vertex range p of the
+    // edge-balanced partitioning it was built from.
+    const partition::Partitioning& parts = g.partitioning_edges();
     counts = affine_for(
         numa, /*owner=*/&g, /*token=*/&coo, np, sched,
         [&](std::size_t p) {
@@ -66,10 +67,12 @@ Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
         [&](std::size_t p) {
           if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
           const auto es = coo.edges(static_cast<part_t>(p));
+          const VertexRange r = parts.range(static_cast<part_t>(p));
+          const OwnedRangeBits out(next, r.begin, r.end);
           for (const Edge& e : es) {
             if (in.get(e.src) && op.cond(e.dst) &&
                 op.update(e.src, e.dst, e.weight)) {
-              next.set(e.dst);
+              out.set(e.dst);
             }
           }
           return static_cast<std::uint64_t>(es.size());

@@ -39,40 +39,60 @@ inline int csc_chunk_domain(const partition::Partitioning& storage_parts,
                                   storage_parts.num_partitions());
 }
 
-/// The partitioning's ranges split into word-aligned sub-chunks — now a
-/// build-time-cached property of the Partitioning itself.
-inline const std::vector<VertexRange>& csc_sub_chunks(
-    const partition::Partitioning& ranges) {
-  return ranges.sub_chunks();
-}
-
 /// Lookahead distance (in edges) of the backward gather's frontier-word
 /// prefetch: the inner loop's demand miss is `in.get(s)` — one random
 /// bitmap word per in-edge — so the word of the source `kCscPrefetchDist`
 /// slots ahead is prefetched while the current edges are applied.
 inline constexpr std::size_t kCscPrefetchDist = 8;
 
+/// The gather body over one owned vertex range: each d in `r` with cond(d)
+/// pulls from its active neighbours in `adj` (in-edges forward, out-edges
+/// for the transpose) and stops once cond(d) drops.  Returns the edges
+/// examined.  Shared by the engine's partitioned kernel below and the
+/// baseline engines' chunked sweeps; callers differ only in scheduling.
+template <EdgeOperator Op>
+eid_t gather_range(const graph::Csr& adj, const Bitmap& in, Op& op,
+                   Bitmap& next, VertexRange r, bool prefetch) {
+  const std::uint64_t* in_words = in.words();
+  const OwnedRangeBits out(next, r.begin, r.end);
+  eid_t edges = 0;
+  for (vid_t d = r.begin; d < r.end; ++d) {
+    if (!op.cond(d)) continue;
+    const auto neigh = adj.neighbors(d);
+    const auto wts = adj.weights(d);
+    for (std::size_t j = 0; j < neigh.size(); ++j) {
+      ++edges;
+      if (prefetch && j + kCscPrefetchDist < neigh.size())
+        __builtin_prefetch(&in_words[neigh[j + kCscPrefetchDist] >> 6]);
+      const vid_t s = neigh[j];
+      if (!in.get(s)) continue;
+      if (op.update(s, d, wts[j])) out.set(d);
+      if (!op.cond(d)) break;  // destination saturated; skip remaining
+    }
+  }
+  return edges;
+}
+
+/// Backward traversal over the sub-chunks of `ranges`, pulling along `adj`
+/// and counting the output frontier's Σ-degree in `weigh`: (csc, csr)
+/// forward, (csr, csc) for the transpose.
+///
+/// `cancel`, when non-null, is polled once per sub-chunk: a fired token
+/// drains the sweep without work, and the caller re-checks the token and
+/// discards the partial frontier (bodies must not throw here).
 template <EdgeOperator Op>
 Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
+                               const graph::Csr& adj, const graph::Csr& weigh,
                                const partition::Partitioning& ranges,
-                               eid_t* edges_examined,
-                               TraversalWorkspace* ws = nullptr,
-                               AffineCounts* affinity = nullptr,
-                               const sys::CancelToken* cancel = nullptr,
-                               bool prefetch = false) {
+                               eid_t* edges_examined, TraversalWorkspace& ws,
+                               AffineCounts* affinity,
+                               const sys::CancelToken* cancel, bool prefetch) {
   f.to_dense(ws);
-  const auto& csc = g.csc();
   const NumaModel& numa = g.numa();
   const Bitmap& in = f.bitmap();
-  const std::uint64_t* in_words = in.words();
-  Bitmap next =
-      ws != nullptr ? ws->acquire_bitmap(g.num_vertices()) : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
   const std::vector<VertexRange>& chunks = ranges.sub_chunks();
-  std::vector<eid_t> local_counts;
-  std::vector<eid_t>& edge_counts = ws != nullptr
-                                        ? ws->edge_counters(chunks.size())
-                                        : local_counts;
-  if (ws == nullptr) local_counts.assign(chunks.size(), 0);
+  std::vector<eid_t>& edge_counts = ws.edge_counters(chunks.size());
 
   // Chunks come from `ranges` (the balance criterion of the running
   // algorithm); their domains come from the edge-balanced partitioning the
@@ -80,35 +100,14 @@ Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
   const partition::Partitioning& storage_parts = g.partitioning_edges();
   const AffineCounts counts = affine_for(
       numa, /*owner=*/&g, /*token=*/&chunks, chunks.size(),
-      ws != nullptr ? &ws->domain_schedules() : nullptr,
+      ws.domain_schedules(),
       [&](std::size_t c) {
         return csc_chunk_domain(storage_parts, numa, chunks[c]);
       },
       [&](std::size_t c) {
-        // Fired token: drain the sweep without work; edge_map re-checks and
-        // discards the partial frontier (bodies must not throw here).
-        if (cancel != nullptr && cancel->should_stop()) {
-          edge_counts[c] = 0;
-          return std::uint64_t{0};
-        }
-        const VertexRange r = chunks[c];
-        eid_t local_edges = 0;
-        for (vid_t d = r.begin; d < r.end; ++d) {
-          if (!op.cond(d)) continue;
-          const auto neigh = csc.neighbors(d);
-          const auto wts = csc.weights(d);
-          for (std::size_t j = 0; j < neigh.size(); ++j) {
-            ++local_edges;
-            if (prefetch && j + kCscPrefetchDist < neigh.size())
-              __builtin_prefetch(&in_words[neigh[j + kCscPrefetchDist] >> 6]);
-            const vid_t s = neigh[j];
-            if (!in.get(s)) continue;
-            if (op.update(s, d, wts[j])) next.set(d);
-            if (!op.cond(d)) break;  // destination saturated; skip remaining
-          }
-        }
-        edge_counts[c] = local_edges;
-        return static_cast<std::uint64_t>(local_edges);
+        if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
+        edge_counts[c] = gather_range(adj, in, op, next, chunks[c], prefetch);
+        return static_cast<std::uint64_t>(edge_counts[c]);
       });
   if (affinity != nullptr) affinity->merge(counts);
 
@@ -119,7 +118,7 @@ Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
   }
 
   Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csr());
+  out.recount(&weigh);
   return out;
 }
 

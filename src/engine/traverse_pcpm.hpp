@@ -15,8 +15,8 @@
 //            order and reduce each active message into the destination —
 //            the random writes now land inside one partition's working set,
 //            and destination partitions are disjoint so plain stores
-//            suffice (64-vertex-aligned boundaries keep bitmap words
-//            single-writer, as in the COO "+na" argument).
+//            suffice (next-frontier bits go through OwnedRangeBits, as in
+//            the COO "+na" sweep).
 //
 // Bit-identity contract: dp's slots are sorted by (src, dst) — exactly the
 // per-partition edge order of the non-atomic dense COO sweep under
@@ -57,19 +57,16 @@ namespace grind::engine {
 /// gather loads).
 template <ScatterGatherOperator Op>
 Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
-                       eid_t* edges_examined, TraversalWorkspace* ws = nullptr,
-                       AffineCounts* affinity = nullptr,
-                       const sys::CancelToken* cancel = nullptr,
-                       std::uint64_t* bin_bytes = nullptr) {
+                       eid_t* edges_examined, TraversalWorkspace& ws,
+                       AffineCounts* affinity, const sys::CancelToken* cancel,
+                       std::uint64_t* bin_bytes) {
   using V = typename Op::scatter_value_t;
   f.to_dense(ws);
   const auto& bins = g.pcpm_bins();
   const NumaModel& numa = g.numa();
-  DomainScheduleCache* sched =
-      ws != nullptr ? &ws->domain_schedules() : nullptr;
+  DomainScheduleCache& sched = ws.domain_schedules();
   const Bitmap& in = f.bitmap();
-  Bitmap next = ws != nullptr ? ws->acquire_bitmap(g.num_vertices())
-                              : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
   const part_t np = bins.num_partitions();
   const eid_t slots = bins.num_slots();
 
@@ -79,27 +76,19 @@ Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
 
   // Message-value buffer: one slot per edge, indexed by each partition's
   // slot_base.  Pooled in the workspace (capacity retained, so steady-state
-  // iterations never allocate); the local fallback reproduces the
-  // historical allocate-per-call behaviour for workspace-less callers.
-  std::vector<std::byte> local;
-  V* values;
-  if (ws != nullptr) {
-    values = reinterpret_cast<V*>(ws->pcpm_values(slots * sizeof(V)));
-    if (ws->pcpm_values_need_placement(&bins)) {
-      // Consumer-domain placement: dp's slice is what dp's gather task —
-      // running on dp's domain — reads, and what remote scatters stream
-      // into.  Done once per (bins, buffer storage) pairing.
-      auto& arenas = NumaArenas::instance();
-      for (part_t dp = 0; dp < np; ++dp) {
-        const auto& part = bins.part(dp);
-        if (part.num_slots() == 0) continue;
-        arenas.place(values + part.slot_base, part.num_slots() * sizeof(V),
-                     numa.domain_of_partition(dp, np));
-      }
+  // iterations never allocate).
+  V* values = reinterpret_cast<V*>(ws.pcpm_values(slots * sizeof(V)));
+  if (ws.pcpm_values_need_placement(&bins)) {
+    // Consumer-domain placement: dp's slice is what dp's gather task —
+    // running on dp's domain — reads, and what remote scatters stream
+    // into.  Done once per (bins, buffer storage) pairing.
+    auto& arenas = NumaArenas::instance();
+    for (part_t dp = 0; dp < np; ++dp) {
+      const auto& part = bins.part(dp);
+      if (part.num_slots() == 0) continue;
+      arenas.place(values + part.slot_base, part.num_slots() * sizeof(V),
+                   numa.domain_of_partition(dp, np));
     }
-  } else {
-    local.resize(slots * sizeof(V));
-    values = reinterpret_cast<V*>(local.data());
   }
 
   AffineCounts counts;
@@ -133,7 +122,9 @@ Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
   // chain mirrors traverse_coo's no-atomics body with
   // update(s,d,w) replaced by gather(d, scatter(s,w)).
   // Same item count and domain map as the scatter, so both sweeps share one
-  // cached schedule (keyed on (&g, &bins, np)).
+  // cached schedule (keyed on (&g, &bins, np)).  Bin partition dp collects
+  // the in-edges of vertex range dp of the edge-balanced partitioning.
+  const partition::Partitioning& parts = g.partitioning_edges();
   AffineCounts gather_counts = affine_for(
       numa, /*owner=*/&g, /*token=*/&bins, np, sched,
       [&](std::size_t dp) {
@@ -142,12 +133,14 @@ Frontier traverse_pcpm(const graph::Graph& g, Frontier& f, Op& op,
       [&](std::size_t dp) {
         if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
         const auto& part = bins.part(static_cast<part_t>(dp));
+        const VertexRange r = parts.range(static_cast<part_t>(dp));
+        const OwnedRangeBits out(next, r.begin, r.end);
         const eid_t m = part.num_slots();
         const V* vals = values + part.slot_base;
         for (eid_t i = 0; i < m; ++i) {
           const vid_t s = part.src[i];
           const vid_t d = part.dst[i];
-          if (in.get(s) && op.cond(d) && op.gather(d, vals[i])) next.set(d);
+          if (in.get(s) && op.cond(d) && op.gather(d, vals[i])) out.set(d);
         }
         return static_cast<std::uint64_t>(m);
       });

@@ -34,17 +34,15 @@ namespace grind::engine {
 template <EdgeOperator Op>
 Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
                                   bool use_atomics, eid_t* edges_examined,
-                                  TraversalWorkspace* ws = nullptr,
-                                  AffineCounts* affinity = nullptr,
-                                  const sys::CancelToken* cancel = nullptr) {
+                                  TraversalWorkspace& ws,
+                                  AffineCounts* affinity,
+                                  const sys::CancelToken* cancel) {
   f.to_dense(ws);
   const auto& pc = g.partitioned_csr();
   const NumaModel& numa = g.numa();
-  DomainScheduleCache* sched =
-      ws != nullptr ? &ws->domain_schedules() : nullptr;
+  DomainScheduleCache& sched = ws.domain_schedules();
   const Bitmap& in = f.bitmap();
-  Bitmap next =
-      ws != nullptr ? ws->acquire_bitmap(g.num_vertices()) : Bitmap(g.num_vertices());
+  Bitmap next = ws.acquire_bitmap(g.num_vertices());
   const part_t np = pc.num_partitions();
 
   if (edges_examined != nullptr) {
@@ -55,6 +53,7 @@ Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
 
   AffineCounts counts;
   if (!use_atomics) {
+    const partition::Partitioning& parts = g.partitioning_edges();
     counts = affine_for(
         numa, /*owner=*/&g, /*token=*/&pc, np, sched,
         [&](std::size_t pi) {
@@ -63,13 +62,15 @@ Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
         [&](std::size_t pi) {
           if (cancel != nullptr && cancel->should_stop()) return std::uint64_t{0};
           const auto& part = pc.part(static_cast<part_t>(pi));
+          const VertexRange r = parts.range(static_cast<part_t>(pi));
+          const OwnedRangeBits out(next, r.begin, r.end);
           const vid_t nloc = part.num_local_vertices();
           for (vid_t i = 0; i < nloc; ++i) {
             const vid_t s = part.vertex_ids[i];
             if (!in.get(s)) continue;
             for (eid_t j = part.offsets[i]; j < part.offsets[i + 1]; ++j) {
               const vid_t d = part.targets[j];
-              if (op.cond(d) && op.update(s, d, part.weights[j])) next.set(d);
+              if (op.cond(d) && op.update(s, d, part.weights[j])) out.set(d);
             }
           }
           return static_cast<std::uint64_t>(part.num_edges());

@@ -68,15 +68,14 @@ class Frontier {
   // Mutators ----------------------------------------------------------------
 
   /// Convert to dense bitmap representation (no-op if already dense).
-  /// When a workspace is supplied, the bitmap is acquired from its pool and
-  /// the retired sparse list is returned to it, so steady-state conversions
-  /// allocate nothing.
-  void to_dense(engine::TraversalWorkspace* ws = nullptr);
+  /// The bitmap is acquired from the workspace's pool and the retired sparse
+  /// list is returned to it, so steady-state conversions allocate nothing.
+  void to_dense(engine::TraversalWorkspace& ws);
   /// Convert to sparse list representation (no-op if already sparse).
-  /// The produced list is sorted by vertex ID.  With a workspace, the list
-  /// and the count/offset scratch come from its pools and the retired
+  /// The produced list is sorted by vertex ID.  The list and the
+  /// count/offset scratch come from the workspace's pools and the retired
   /// bitmap is recycled into it.
-  void to_sparse(engine::TraversalWorkspace* ws = nullptr);
+  void to_sparse(engine::TraversalWorkspace& ws);
 
   /// Retire this frontier: donate its backing storage (bitmap and/or sparse
   /// list) to `ws` for reuse by later traversals, leaving the frontier
@@ -95,6 +94,10 @@ class Frontier {
   /// Recompute |F| and Σ deg⁺ from the representation.  `out` supplies
   /// out-degrees; pass nullptr to only recount |F|.
   void recount(const graph::Csr* out);
+
+  /// Σ over active vertices of their degree in `adj`, without touching the
+  /// cached statistics (the transpose weighs a frontier by in-degrees).
+  [[nodiscard]] eid_t degree_sum(const graph::Csr& adj) const;
 
   /// Invoke f(v) for each active vertex (serial; order = id order when
   /// dense, insertion order when sparse).

@@ -1,7 +1,7 @@
 // Deterministic synthetic graph generators.
 //
 // These stand in for the paper's data sets (Table I) at laptop scale — see
-// DESIGN.md §1.  All generators take an explicit seed and produce identical
+// bench/suite.hpp.  All generators take an explicit seed and produce identical
 // output regardless of thread count.
 //
 //  * rmat         — recursive-matrix (Graph500) generator; with the standard

@@ -2,7 +2,7 @@
 //
 // The paper evaluates on public SNAP graphs (Table I).  When the real files
 // are available they can be loaded with load_snap(); the benchmark suite
-// falls back to the synthetic generators otherwise (DESIGN.md §1).
+// falls back to the synthetic generators otherwise (bench/suite.hpp).
 #pragma once
 
 #include <string>

@@ -10,10 +10,13 @@
 // (§III-C).
 //
 // Boundaries are additionally aligned to multiples of `boundary_align`
-// vertices (default 64 = one frontier-bitmap word) so that two partitions
-// never write the same bitmap word; this makes the non-atomic bitmap updates
-// of the "+na" kernels race-free.  The paper does not spell this detail out;
-// it is required for correctness of atomic-free next-frontier updates.
+// vertices (default 64 = one frontier-bitmap word).  At 64 two partitions
+// never write the same bitmap word, so the "+na" kernels' next-frontier
+// updates need no atomics at all; at a smaller power of two, neighbouring
+// partitions share the boundary word and the kernels' OwnedRangeBits writer
+// (sys/bitmap.hpp) sets bits there with fetch_or.  The paper does not spell
+// this detail out; it is required for correctness of atomic-free
+// next-frontier updates.
 #pragma once
 
 #include <vector>
@@ -45,7 +48,8 @@ struct PartitionOptions {
 };
 
 /// Vertices per schedulable sub-chunk of a partition range.  A multiple of
-/// 64 so sub-chunks never share a frontier-bitmap word; small enough that a
+/// 64, so sub-chunks inside a partition never share a frontier-bitmap word
+/// (only a partition's boundary words can be shared); small enough that a
 /// skewed in-degree block cannot straggle an entire partition (the intra-
 /// partition parallelism the paper gets from a NUMA domain's threads).
 inline constexpr vid_t kSubChunkVertices = 256;
@@ -104,8 +108,9 @@ class Partitioning {
   /// feel the vertex figure.
   [[nodiscard]] double vertex_imbalance() const;
 
-  /// The partition ranges split into word-aligned kSubChunkVertices-sized
-  /// sub-chunks — the schedulable work items of the backward-CSC traversal.
+  /// The partition ranges split into kSubChunkVertices-sized sub-chunks
+  /// from each partition's start — the schedulable work items of the
+  /// backward-CSC traversal.
   /// Computed once at construction so the traversal hot path never rebuilds
   /// the list.  Never empty: a degenerate partitioning yields {{0, 0}}.
   [[nodiscard]] const std::vector<VertexRange>& sub_chunks() const {

@@ -2,11 +2,12 @@
 // represented as a bitmap").
 //
 // Two flavours:
-//  * Bitmap        — plain bits; single-writer-per-word usage only.  This is
-//                    what the partitioned traversals use: partition
-//                    boundaries are aligned to 64-vertex multiples
-//                    (partition/partitioner.hpp) so two partitions never
-//                    share a word, making non-atomic writes race-free.
+//  * Bitmap        — plain bits; single-writer-per-word usage only.  The
+//                    partitioned traversals write it through OwnedRangeBits:
+//                    each work item owns a vertex range, and only the words
+//                    that range shares with a neighbour (partition
+//                    boundaries need only be power-of-two aligned, not
+//                    64-vertex aligned) take an atomic fetch_or.
 //  * AtomicBitmap  — fetch_or-based writes, used by traversals that update
 //                    arbitrary destinations concurrently (sparse CSR forward
 //                    traversal, COO "+a" configuration).
@@ -33,8 +34,8 @@ constexpr std::size_t bitmap_words(std::size_t bits) {
 }
 
 /// Plain (non-atomic) bitmap.  Safe for concurrent writes only when writers
-/// own disjoint 64-bit word ranges — which the partitioner guarantees by
-/// aligning partition boundaries to multiples of 64 vertices.
+/// own disjoint 64-bit word ranges; writers that own disjoint *bit* ranges
+/// go through OwnedRangeBits.
 class Bitmap {
  public:
   Bitmap() = default;
@@ -141,6 +142,41 @@ class Bitmap {
 
   std::size_t bits_ = 0;
   std::vector<std::uint64_t> words_;
+};
+
+/// Bit writer for one work item that exclusively owns the bits [begin, end)
+/// of a Bitmap that other items write concurrently.  Ownership is per bit,
+/// not per word: a range whose bound is not a multiple of 64 shares its
+/// first or last word with a neighbour, and a plain read-modify-write there
+/// can drop the neighbour's bit.  Those (at most two) shared words take an
+/// atomic fetch_or; every other word is the item's alone and takes a plain
+/// |=.  With 64-aligned bounds no write is atomic.
+class OwnedRangeBits {
+ public:
+  OwnedRangeBits(Bitmap& bits, std::size_t begin, std::size_t end)
+      : bits_(bits),
+        begin_(begin),
+        end_(end),
+        shared_lo_((begin & 63) != 0 ? begin >> 6 : kNone),
+        shared_hi_((end & 63) != 0 ? end >> 6 : kNone) {}
+
+  void set(std::size_t i) const {
+    assert(i >= begin_ && i < end_ && "write outside the owned range");
+    const std::size_t w = i >> 6;
+    if (w == shared_lo_ || w == shared_hi_) {
+      bits_.set_atomic(i);
+    } else {
+      bits_.set(i);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  Bitmap& bits_;
+  [[maybe_unused]] std::size_t begin_;
+  [[maybe_unused]] std::size_t end_;
+  std::size_t shared_lo_;
+  std::size_t shared_hi_;
 };
 
 /// Bitmap with atomic bit-set, for concurrent writers without ownership

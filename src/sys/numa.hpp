@@ -17,9 +17,8 @@
 // libnuma (-DGRIND_NUMA, CMake autodetect) on a multi-node machine; on
 // single-node or libnuma-free hosts the same policy runs against the logical
 // arenas, so every scheduling decision the paper's system makes is made
-// identically — only the page migration is absent (DESIGN.md §1,
-// substitution table; docs/NUMA.md has the arena lifecycle and the full
-// fallback matrix).
+// identically — only the page migration is absent (docs/NUMA.md has the
+// arena lifecycle and the full fallback matrix).
 #pragma once
 
 #include <cstddef>

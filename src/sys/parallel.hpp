@@ -5,7 +5,8 @@
 //
 // The paper's framework is built on Cilk with NUMA-aware loop scheduling;
 // OpenMP dynamic scheduling over partitions provides the same work
-// distribution semantics (see DESIGN.md §1).
+// distribution semantics (docs/NUMA.md, "Scheduler contract", covers the
+// domain-affine layer on top).
 #pragma once
 
 #include <omp.h>

@@ -15,18 +15,12 @@
 #include "algorithms/ref/reference.hpp"
 #include "algorithms/spmv.hpp"
 #include "baselines/chunked.hpp"
-#include "baselines/graphgrind_v1.hpp"
-#include "baselines/ligra.hpp"
-#include "baselines/polymer.hpp"
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
 
 namespace grind {
 namespace {
 
-using baselines::GraphGrindV1Engine;
-using baselines::LigraEngine;
-using baselines::PolymerEngine;
 using engine::Engine;
 using graph::Graph;
 
@@ -55,17 +49,10 @@ void for_each_system(const Graph& g, Fn&& fn) {
     Engine eng(g);
     fn("GG-v2", eng);
   }
-  {
-    LigraEngine eng(g);
-    fn("Ligra", eng);
-  }
-  {
-    PolymerEngine eng(g);
-    fn("Polymer", eng);
-  }
-  {
-    GraphGrindV1Engine eng(g);
-    fn("GG-v1", eng);
+  for (auto make :
+       {baselines::ligra, baselines::polymer, baselines::graphgrind_v1}) {
+    baselines::ChunkedEngine eng = make(g);
+    fn(eng.name(), eng);
   }
 }
 

@@ -16,10 +16,10 @@ namespace grind::engine {
 namespace {
 
 /// Run affine_for over n items with domain_of(i) = i % domains and count
-/// per-item executions.
+/// per-item executions, on a fresh schedule cache.
 AffineCounts run_counted(const NumaModel& numa, std::size_t n,
-                         DomainScheduleCache* cache,
                          std::vector<std::atomic<int>>& hits) {
+  DomainScheduleCache cache;
   return affine_for(
       numa, /*owner=*/&numa, /*token=*/&hits, n, cache,
       [&](std::size_t i) { return static_cast<int>(i) % numa.domains(); },
@@ -37,7 +37,7 @@ TEST(DomainSchedule, EveryItemExactlyOnceAcrossConfigs) {
       for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                             std::size_t{385}}) {
         std::vector<std::atomic<int>> hits(n);
-        const AffineCounts c = run_counted(numa, n, nullptr, hits);
+        const AffineCounts c = run_counted(numa, n, hits);
         for (std::size_t i = 0; i < n; ++i)
           ASSERT_EQ(hits[i].load(), 1)
               << "domains=" << domains << " threads=" << threads
@@ -52,7 +52,7 @@ TEST(DomainSchedule, EveryItemExactlyOnceAcrossConfigs) {
 TEST(DomainSchedule, SingleDomainIsAllHome) {
   const NumaModel numa(1);
   std::vector<std::atomic<int>> hits(100);
-  const AffineCounts c = run_counted(numa, 100, nullptr, hits);
+  const AffineCounts c = run_counted(numa, 100, hits);
   EXPECT_EQ(c.home_items, 100u);
   EXPECT_EQ(c.stolen_items, 0u);
 }
@@ -64,7 +64,7 @@ TEST(DomainSchedule, SerialPinnedWorkerCountsItsDomainAsHome) {
   // two domain-2 items as home, steals the rest.
   DomainPinGuard pin(2);
   std::vector<std::atomic<int>> hits(8);
-  const AffineCounts c = run_counted(numa, 8, nullptr, hits);
+  const AffineCounts c = run_counted(numa, 8, hits);
   EXPECT_EQ(c.home_items, 2u);
   EXPECT_EQ(c.stolen_items, 6u);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -74,7 +74,7 @@ TEST(DomainSchedule, UnpinnedSerialWorkerHomesOnDomainZero) {
   const NumaModel numa(4);
   ThreadCountGuard guard(1);
   std::vector<std::atomic<int>> hits(8);
-  const AffineCounts c = run_counted(numa, 8, nullptr, hits);
+  const AffineCounts c = run_counted(numa, 8, hits);
   EXPECT_EQ(c.home_items, 2u);  // the two domain-0 items
   EXPECT_EQ(c.stolen_items, 6u);
 }
@@ -117,7 +117,7 @@ TEST(DomainSchedule, GatedStealingStillDrainsUnownedDomains) {
   const NumaModel numa(8);
   ThreadCountGuard guard(2);
   std::vector<std::atomic<int>> hits(64);
-  const AffineCounts c = run_counted(numa, 64, nullptr, hits);
+  const AffineCounts c = run_counted(numa, 64, hits);
   for (std::size_t i = 0; i < hits.size(); ++i)
     ASSERT_EQ(hits[i].load(), 1) << "item " << i;
   EXPECT_EQ(c.home_items + c.stolen_items, 64u);
@@ -127,7 +127,7 @@ TEST(DomainSchedule, GatedStealingStillDrainsUnownedDomains) {
 TEST(DomainSchedule, ZeroItemsIsANoOp) {
   const NumaModel numa(4);
   std::vector<std::atomic<int>> hits(1);
-  const AffineCounts c = run_counted(numa, 0, nullptr, hits);
+  const AffineCounts c = run_counted(numa, 0, hits);
   EXPECT_EQ(c.home_items, 0u);
   EXPECT_EQ(c.stolen_items, 0u);
 }

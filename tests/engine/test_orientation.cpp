@@ -57,7 +57,7 @@ TEST(Orientation, VertexOrientedDenseRoundUsesCscKernel) {
 TEST(Orientation, CscSubChunksCoverRangesAndAlign) {
   const auto el = graph::rmat(10, 8, 3);
   const auto parts = partition::make_partitioning(el, 8);
-  const auto chunks = csc_sub_chunks(parts);
+  const auto chunks = parts.sub_chunks();
   // Coverage: concatenation of chunks == concatenation of ranges.
   vid_t cursor = 0;
   for (const auto& c : chunks) {

@@ -203,7 +203,7 @@ TEST(Pcpm, ScatterGatherRoundTripsHandBuiltTwoPartitionGraph) {
     eid_t edges = 0;
     std::uint64_t bytes = 0;
     Frontier next =
-        traverse_pcpm(g, f, op, &edges, &ws, nullptr, nullptr, &bytes);
+        traverse_pcpm(g, f, op, &edges, ws, nullptr, nullptr, &bytes);
 
     EXPECT_EQ(edges, g.num_edges());  // PCPM always scans every slot
     EXPECT_EQ(bytes, 2 * static_cast<std::uint64_t>(g.num_edges()) *

@@ -54,10 +54,11 @@ struct RunResult {
 };
 
 /// Three consecutive edge_map iterations, feeding each output frontier back
-/// as the next input.  With a workspace, retired frontiers are recycled into
-/// it — the steady-state reuse path; without, every call allocates fresh.
+/// as the next input.  With `reuse`, retired frontiers are recycled into it
+/// — the steady-state reuse path; without, every call gets a fresh
+/// workspace and so allocates all of its scratch.
 RunResult run_iterations(const Graph& g, const Options& opts,
-                         TraversalWorkspace* ws) {
+                         TraversalWorkspace* reuse) {
   const vid_t n = g.num_vertices();
   RunResult r;
   r.acc.assign(n, 0);
@@ -68,10 +69,12 @@ RunResult run_iterations(const Graph& g, const Options& opts,
   Frontier f = Frontier::from_vertices(n, seeds, &g.csr());
 
   for (int step = 0; step < 3; ++step) {
-    Frontier next = edge_map(g, f, StepOp{r.acc.data(), claimed.data()}, opts,
-                             nullptr, ws);
+    TraversalWorkspace fresh;
+    TraversalWorkspace& ws = reuse != nullptr ? *reuse : fresh;
+    Frontier next =
+        edge_map(g, f, StepOp{r.acc.data(), claimed.data()}, ws, opts);
     r.frontiers.push_back(snapshot(next, n));
-    if (ws != nullptr) f.into_workspace(*ws);
+    if (reuse != nullptr) f.into_workspace(*reuse);
     f = std::move(next);
   }
   return r;

@@ -1,7 +1,14 @@
 #include "sys/bitmap.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <algorithm>
+#include <atomic>
+#include <random>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sys/parallel.hpp"
@@ -101,6 +108,100 @@ TEST(AtomicBitmap, ParallelClaimsAreExclusive) {
     if (b.set(i % n)) claims.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(claims.load(), n);  // each bit claimed exactly once
+}
+
+/// Barrier whose waiters spin rather than sleep, so released threads
+/// restart within a few hundred nanoseconds of each other (yielding after a
+/// while, so a host with fewer cores than threads still makes progress).
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(int n) : n_(n) {}
+  void wait() {
+    const int gen = gen_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      gen_.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    for (int spins = 0; gen_.load(std::memory_order_acquire) == gen; ++spins)
+      if (spins > 256) std::this_thread::yield();
+  }
+
+ private:
+  const int n_;
+  std::atomic<int> arrived_{0};
+  std::atomic<int> gen_{0};
+};
+
+/// Pin the calling thread to the k-th CPU (mod count) of `allowed`.  Left to
+/// the scheduler, freshly started threads often share one CPU for tens of
+/// milliseconds, and threads that never run at the same instant cannot race.
+void pin_to_nth(const cpu_set_t& allowed, int k) {
+  k %= CPU_COUNT(&allowed);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &allowed) || k-- != 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(c, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+    return;
+  }
+}
+
+/// Bits lost when 4 threads, each pinned to its own CPU where the host has
+/// them, concurrently write interleaved owned ranges whose bounds are
+/// multiples of `align`: range r has length align·(1+r%3) and belongs to
+/// thread r%4, so with align < 64 several writers share a word.  The bitmap
+/// is sixteen words and each thread visits its ranges in its own random
+/// order.
+std::size_t lost_owned_range_bits(std::size_t align, int rounds) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kBits = 64 * 16;
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> mine(kThreads);
+  std::size_t r = 0;
+  for (std::size_t b = 0; b < kBits; ++r) {
+    const std::size_t e = std::min(kBits, b + align * (1 + r % 3));
+    mine[r % kThreads].emplace_back(b, e);
+    b = e;
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    std::mt19937 rng(static_cast<unsigned>(t + 1));
+    std::shuffle(mine[t].begin(), mine[t].end(), rng);
+  }
+
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  sched_getaffinity(0, sizeof(allowed), &allowed);
+  Bitmap bits(kBits);
+  SpinBarrier barrier(kThreads);
+  std::size_t lost = 0;
+  auto worker = [&](int t) {
+    pin_to_nth(allowed, t);
+    for (int round = 0; round < rounds; ++round) {
+      barrier.wait();
+      for (const auto& [b, e] : mine[t]) {
+        const OwnedRangeBits out(bits, b, e);
+        for (std::size_t i = b; i < e; ++i) out.set(i);
+      }
+      barrier.wait();
+      if (t == 0) {
+        std::uint64_t* w = bits.words();
+        for (std::size_t i = 0; i < bits.num_words(); ++i) {
+          lost += 64 - static_cast<std::size_t>(std::popcount(w[i]));
+          w[i] = 0;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (auto& th : threads) th.join();
+  return lost;
+}
+
+TEST(OwnedRangeBits, ConcurrentOwnersOfSharedWordsLoseNoBits) {
+  for (std::size_t align : {1, 8, 64})
+    EXPECT_EQ(lost_owned_range_bits(align, 100), 0u) << "align=" << align;
 }
 
 TEST(BitmapWords, WordCountFormula) {
