@@ -47,7 +47,8 @@ struct PageRankDeltaResult {
   std::vector<double> rank;
   int rounds = 0;
   /// Frontier density classification per round, for the §IV-A breakdown:
-  /// how many rounds ran dense / medium / sparse.
+  /// how many rounds ran dense / medium / sparse, by the engine's own
+  /// Options thresholds.
   int dense_rounds = 0;
   int medium_rounds = 0;
   int sparse_rounds = 0;
@@ -112,8 +113,18 @@ PageRankDeltaResult pagerank_delta(Eng& eng, PageRankDeltaOptions opts = {}) {
 
   Frontier frontier = Frontier::all(n, &g.csr());
 
+  // Classify rounds with the thresholds the engine decides by, so under
+  // non-default Options the counters still name the kernels that ran;
+  // engines without options() (the baselines) keep the paper's defaults.
+  double sparse_fraction = 0.05, dense_fraction = 0.5;
+  if constexpr (requires { eng.options().sparse_fraction; }) {
+    sparse_fraction = eng.options().sparse_fraction;
+    dense_fraction = eng.options().dense_fraction;
+  }
+
   while (!frontier.empty() && r.rounds < opts.max_rounds) {
-    switch (engine::classify_density(frontier.traversal_weight(), m)) {
+    switch (engine::classify_density(frontier.traversal_weight(), m,
+                                     sparse_fraction, dense_fraction)) {
       case engine::Density::kDense: ++r.dense_rounds; break;
       case engine::Density::kMedium: ++r.medium_rounds; break;
       case engine::Density::kSparse: ++r.sparse_rounds; break;

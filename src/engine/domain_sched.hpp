@@ -10,15 +10,28 @@
 // NumaModel::visit_order: home domain first, then the remaining domains
 // rotated to start after home.
 //
-// Stealing is *gated*: a thread may take a foreign domain's items only once
-// that domain has no active home threads left (they finished their bucket,
-// or fewer threads materialised than requested).  While gated the thread
-// yields, which matters on oversubscribed hosts — an eager stealer that got
-// the CPU first would otherwise claim every other domain's partitions
-// before their home threads were ever scheduled, silently destroying the
-// locality the arenas paid for.  Intra-bucket distribution is a per-domain
-// atomic cursor, so load balance inside a domain matches the old dynamic
-// schedule.
+// Each bucket is split at its domain's *fair share*,
+// ceil(n · home_threads[d] / threads) positions (capped at the bucket
+// size), fixed in prepare():
+//   * positions below the fair share are home-only: a foreign thread may
+//     take them only once that domain has no active home threads left (they
+//     finished their share, or fewer threads materialised than requested —
+//     gated stealing).  While gated the thread yields, which matters on
+//     oversubscribed hosts: an eager stealer that got the CPU first would
+//     otherwise claim every other domain's partitions before their home
+//     threads were ever scheduled, silently destroying the locality the
+//     arenas paid for;
+//   * positions at or above it are the domain's excess, open to every
+//     thread that has drained its own home range, with no gate.
+// A thread drains its fair range, then its own excess, then the other
+// domains' excess, then gated-steals whatever home-only work is left.
+// Balanced buckets (COO partitions and atomic chunks, PCPM and pruned-CSR
+// partitions) have no excess and are never stolen.  Skewed item sets — CSC
+// sub-chunks of a vertex-balanced sweep, homed by the edge-balanced storage
+// partitioning — would otherwise leave the over-full domain's home threads
+// with most of the sweep while the others wait at its gate.  Intra-range
+// distribution is an atomic claim cursor per range, so load balance inside
+// a domain matches the old dynamic schedule.
 //
 // A DomainSchedule's buckets depend only on (item set, thread count,
 // domains, preferred domain), all fixed across the iterations of a
@@ -29,6 +42,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -44,8 +58,8 @@
 namespace grind::engine {
 
 /// One prepared (item set × thread count) affine schedule: per-domain item
-/// buckets plus the per-run claim cursors.  prepare() once, run() per
-/// traversal; run() never allocates.
+/// buckets split at their fair share, plus the per-run claim cursors.
+/// prepare() once, run() per traversal; run() never allocates.
 class DomainSchedule {
  public:
   /// Build buckets for `n` items whose domains `domain_of(i)` gives.
@@ -92,8 +106,14 @@ class DomainSchedule {
       home_of_[static_cast<std::size_t>(t)] = home;
       ++home_threads_[static_cast<std::size_t>(home)];
     }
+    fair_.resize(D);
+    const auto T = static_cast<std::size_t>(threads_);
+    for (std::size_t d = 0; d < D; ++d)
+      fair_[d] = std::min(bucket_begin_[d + 1] - bucket_begin_[d],
+                          (n * home_threads_[d] + T - 1) / T);
 
     cursors_ = std::make_unique<PaddedCounter[]>(D);
+    excess_ = std::make_unique<PaddedCounter[]>(D);
     active_ = std::make_unique<PaddedCounter[]>(D);
   }
 
@@ -134,17 +154,21 @@ class DomainSchedule {
     const auto D = static_cast<std::size_t>(domains_);
     for (std::size_t d = 0; d < D; ++d) {
       cursors_[d].v.store(0, std::memory_order_relaxed);
+      excess_[d].v.store(fair_[d], std::memory_order_relaxed);
       active_[d].v.store(home_threads_[d], std::memory_order_relaxed);
     }
     std::atomic<std::uint64_t> home_items{0}, stolen_items{0};
     std::atomic<std::uint64_t> home_weight{0}, stolen_weight{0};
 
-    auto drain = [&](std::size_t d, bool home, AffineCounts& local) {
+    // Claim positions of domain d's bucket through `cursor` until it
+    // reaches `end` (fair_[d] for the home-only range, the bucket size for
+    // the excess).
+    auto drain = [&](std::atomic<std::size_t>& cursor, std::size_t d,
+                     std::size_t end, bool home, AffineCounts& local) {
       const std::size_t lo = bucket_begin_[d];
-      const std::size_t len = bucket_begin_[d + 1] - lo;
       for (;;) {
-        const std::size_t i = cursors_[d].v.fetch_add(1, std::memory_order_relaxed);
-        if (i >= len) break;
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= end) break;
         const auto w = static_cast<std::uint64_t>(body(items_[lo + i]));
         if (home) {
           ++local.home_items;
@@ -154,6 +178,9 @@ class DomainSchedule {
           local.stolen_weight += w;
         }
       }
+    };
+    auto bucket_size = [&](std::size_t d) {
+      return bucket_begin_[d + 1] - bucket_begin_[d];
     };
 
     auto worker = [&](int t, int actual) {
@@ -167,18 +194,25 @@ class DomainSchedule {
       }
       const auto home = static_cast<std::size_t>(
           home_of_[static_cast<std::size_t>(t % threads_)]);
-      drain(home, /*home=*/true, local);
+      drain(cursors_[home].v, home, fair_[home], /*home=*/true, local);
+      drain(excess_[home].v, home, bucket_size(home), /*home=*/true, local);
       active_[home].v.fetch_sub(1, std::memory_order_release);
+      // Other domains' excess is open to any thread, no gate.
+      for (std::size_t k = 1; k < D; ++k) {
+        const std::size_t d = (home + k) % D;
+        drain(excess_[d].v, d, bucket_size(d), /*home=*/false, local);
+      }
+      // Every excess cursor is now exhausted; what is left are home-only
+      // ranges, stolen only once their domain has no active home thread.
       for (;;) {
-        bool pending = false;     // any foreign bucket still unfinished?
+        bool pending = false;     // any foreign home-only range unfinished?
         bool progressed = false;  // drained anything this pass?
         for (std::size_t k = 1; k < D; ++k) {
           const std::size_t d = (home + k) % D;
-          const std::size_t len = bucket_begin_[d + 1] - bucket_begin_[d];
-          if (cursors_[d].v.load(std::memory_order_relaxed) >= len) continue;
+          if (cursors_[d].v.load(std::memory_order_relaxed) >= fair_[d]) continue;
           pending = true;
           if (active_[d].v.load(std::memory_order_acquire) > 0) continue;
-          drain(d, /*home=*/false, local);
+          drain(cursors_[d].v, d, fair_[d], /*home=*/false, local);
           progressed = true;
         }
         if (!pending) break;
@@ -216,7 +250,9 @@ class DomainSchedule {
   std::vector<std::size_t> bucket_begin_;  // D+1
   std::vector<int> home_of_;               // per prepared thread
   std::vector<std::size_t> home_threads_;  // per domain
-  std::unique_ptr<PaddedCounter[]> cursors_;
+  std::vector<std::size_t> fair_;          // per domain: home-only positions
+  std::unique_ptr<PaddedCounter[]> cursors_;  // home-only range [0, fair)
+  std::unique_ptr<PaddedCounter[]> excess_;   // open range [fair, size)
   std::unique_ptr<PaddedCounter[]> active_;
 };
 
@@ -258,7 +294,7 @@ class DomainScheduleCache {
 };
 
 /// Run `body` over [0, n) with domain-affine scheduling: each item exactly
-/// once, home-domain threads first, gated stealing for load balance.
+/// once, home-domain threads first, over-full domains' excess shared.
 /// `owner` is the graph the items belong to (cache-key half alongside
 /// `token`, the item container's address).  `cache` (normally
 /// ws.domain_schedules()) reuses prepared schedules.

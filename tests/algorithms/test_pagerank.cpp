@@ -112,6 +112,28 @@ TEST(PageRankDelta, FrontierShrinksAndClassifiesRounds) {
   EXPECT_EQ(r.rounds, r.dense_rounds + r.medium_rounds + r.sparse_rounds);
 }
 
+TEST(PageRankDelta, DensityCountersMatchEngineKernelsAtCustomThresholds) {
+  // Non-default cuts: rounds whose weight lies in (5 %, 20 %] of |E| run the
+  // sparse CSR here but would be "medium" by the default thresholds, and
+  // (50 %, 90 %] would be "dense" yet run the backward CSC.  No PCPM bins,
+  // so medium ↔ backward CSC and dense ↔ dense COO exactly.
+  const auto el = graph::rmat(11, 8, 3);
+  const Graph g = Graph::build(graph::EdgeList(el));
+  Options opts;
+  opts.sparse_fraction = 0.2;
+  opts.dense_fraction = 0.9;
+  Engine eng(g, opts);
+  const auto r = pagerank_delta(eng, {.epsilon = 0.01});
+  const auto& s = eng.stats();
+  EXPECT_EQ(static_cast<std::uint64_t>(r.rounds), s.total_calls());
+  EXPECT_EQ(static_cast<std::uint64_t>(r.sparse_rounds),
+            s.calls_for(engine::TraversalKind::kSparseCsr));
+  EXPECT_EQ(static_cast<std::uint64_t>(r.medium_rounds),
+            s.calls_for(engine::TraversalKind::kBackwardCsc));
+  EXPECT_EQ(static_cast<std::uint64_t>(r.dense_rounds),
+            s.calls_for(engine::TraversalKind::kDenseCoo));
+}
+
 TEST(PageRankDelta, TerminatesOnMaxRounds) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
   Engine eng(g);

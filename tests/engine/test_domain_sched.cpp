@@ -1,12 +1,15 @@
 // Domain-affine scheduler unit tests: exactly-once execution across thread
-// and domain counts, honest home/stolen accounting, preferred-domain homes
-// for pinned serial workers, and schedule-cache reuse (the zero-allocation
-// steady-state contract).
+// and domain counts, honest home/stolen accounting, the fair-share split
+// (balanced buckets never stolen, skewed buckets share only their excess),
+// preferred-domain homes for pinned serial workers, and schedule-cache
+// reuse (the zero-allocation steady-state contract).
 #include "engine/domain_sched.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
+#include <chrono>
 #include <vector>
 
 #include "sys/numa.hpp"
@@ -112,8 +115,8 @@ TEST(DomainScheduleCache, EvictsBeyondCapacity) {
 
 TEST(DomainSchedule, GatedStealingStillDrainsUnownedDomains) {
   // More domains than threads: some domains have no home thread at all;
-  // their buckets must still be fully drained (the gate opens immediately
-  // because their active-home count starts at zero).
+  // their buckets must still be fully drained (their fair share is zero,
+  // so the whole bucket is open excess).
   const NumaModel numa(8);
   ThreadCountGuard guard(2);
   std::vector<std::atomic<int>> hits(64);
@@ -122,6 +125,69 @@ TEST(DomainSchedule, GatedStealingStillDrainsUnownedDomains) {
     ASSERT_EQ(hits[i].load(), 1) << "item " << i;
   EXPECT_EQ(c.home_items + c.stolen_items, 64u);
   EXPECT_GT(c.stolen_items, 0u);  // unowned domains are necessarily stolen
+}
+
+TEST(DomainSchedule, BalancedBucketsAreNeverStolen) {
+  // Equal buckets, one home thread per domain: every fair share covers its
+  // whole bucket, so nothing is open and the gate only opens on an empty
+  // bucket.  The numa-locality CI gate relies on this.
+  const NumaModel numa(4);
+  ThreadCountGuard guard(4);
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<std::atomic<int>> hits(256);
+    const AffineCounts c = run_counted(numa, hits.size(), hits);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "rep " << rep << " item " << i;
+    ASSERT_EQ(c.stolen_items, 0u) << "rep " << rep;
+    ASSERT_EQ(c.home_items, hits.size());
+  }
+}
+
+TEST(DomainSchedule, SkewedBucketsShareTheirExcess) {
+  // 90 % of the items live in domain 0.  Its home thread keeps the fair
+  // share ceil(n / 4); the rest is open, and the other three threads take it
+  // once their own small buckets are done.
+  const NumaModel numa(4);
+  ThreadCountGuard guard(4);
+  constexpr std::size_t kN = 400;
+  constexpr std::size_t kSkewed = kN * 9 / 10;
+  auto domain_of = [](std::size_t i) {
+    return i < kSkewed ? 0 : 1 + static_cast<int>(i % 3);
+  };
+  std::vector<std::atomic<int>> hits(kN);
+  std::vector<int> ran_on(kN, -1);
+  DomainScheduleCache cache;
+  const AffineCounts c = affine_for(
+      numa, /*owner=*/&numa, /*token=*/&hits, kN, cache, domain_of,
+      [&](std::size_t i) {
+        // Spin so the skewed domain's home thread is still busy when the
+        // others run out of home work.
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        ran_on[i] = omp_get_thread_num();
+        return std::uint64_t{1};
+      });
+  const DomainSchedule& sched =
+      cache.get(numa, &numa, &hits, kN, 4, preferred_domain(), domain_of);
+  ASSERT_EQ(cache.size(), 1u);  // the schedule affine_for ran
+
+  for (std::size_t i = 0; i < kN; ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "item " << i;
+  EXPECT_EQ(c.home_items + c.stolen_items, kN);
+  EXPECT_GT(c.stolen_items, 0u);
+  const std::size_t fair = (kN + 3) / 4;  // one home thread per domain
+  for (int d = 0; d < numa.domains(); ++d) {
+    const auto bucket = sched.bucket(d);
+    for (std::size_t pos = 0; pos < bucket.size() && pos < fair; ++pos) {
+      const std::size_t item = bucket[pos];
+      EXPECT_EQ(sched.home_domain(ran_on[item]), d)
+          << "domain " << d << " position " << pos << " item " << item
+          << " ran on thread " << ran_on[item];
+    }
+  }
 }
 
 TEST(DomainSchedule, ZeroItemsIsANoOp) {
