@@ -122,7 +122,7 @@ inline const partition::Partitioning& gather_ranges(const graph::Graph& g,
 /// unchanged.
 ///
 /// `ws` supplies all transient kernel state (next-frontier bitmap,
-/// per-thread buffers, edge counters, domain schedules) from reusable pools
+/// sparse-push slots, edge counters, domain schedules) from reusable pools
 /// so that steady-state iterations of a traversal loop perform no heap
 /// allocation.
 template <EdgeOperator Op>

@@ -6,14 +6,20 @@
 // update — destinations are hit by arbitrary threads, so this is the one
 // kernel that inherently needs hardware atomics.
 //
-// The output frontier is produced directly in sparse form: each thread
-// collects the destinations its updates activated (update_atomic returning
-// true claims the destination exactly once, the Ligra contract), and the
-// per-thread buffers are concatenated.
+// The output frontier is produced directly in sparse form, as in Ligra's
+// edgeMapSparse: a prefix sum of the active sources' degrees gives every
+// edge a slot in one workspace-pooled array, each block of sources writes
+// the destinations its updates activated to the front of its slots, and
+// the blocks' filled slots are concatenated into the output list.  Every
+// buffer comes from the workspace at a size fixed by the frontier, so
+// steady-state rounds do not allocate whatever the schedule, and the output
+// lists destinations in frontier-then-row order.
 #pragma once
 
 #include <omp.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "engine/operators.hpp"
@@ -28,6 +34,10 @@ namespace grind::engine {
 /// to cover a memory round-trip at one edge per few cycles, near enough to
 /// stay inside the typical active row.
 inline constexpr std::size_t kCsrPrefetchDist = 16;
+
+/// Active sources per work item of the sparse push: its dynamic-schedule
+/// grain and the granularity of its slot prefix sum.
+inline constexpr std::size_t kSparseBlockVertices = 16;
 
 /// Push from each active vertex of `f` along its row of `adj`; the output
 /// frontier's Σ-degree statistic is counted in `weigh`.  Forward traversal
@@ -47,53 +57,71 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
   f.to_sparse(ws);
   const auto offsets = adj.offsets();
   const auto verts = f.vertices();
+  const std::size_t blocks =
+      (verts.size() + kSparseBlockVertices - 1) / kSparseBlockVertices;
+  // block_slots[b]..block_slots[b+1]: block b's edge slots (a prefix sum of
+  // its sources' degrees); block_hits[b]: how many of them it filled.
+  std::vector<std::size_t>& block_slots = ws.scratch_offsets(blocks + 1);
+  std::vector<std::size_t>& block_hits = ws.scratch_counts(blocks);
+  vid_t* slots = nullptr;
+  std::size_t hits = 0;
   const int nt = num_threads();
-  std::vector<std::vector<vid_t>>& buffers =
-      ws.thread_buffers(static_cast<std::size_t>(nt));
-  std::vector<eid_t>& edge_counts =
-      ws.edge_counters(static_cast<std::size_t>(nt));
 
 #pragma omp parallel num_threads(nt)
   {
-    const auto t = static_cast<std::size_t>(omp_get_thread_num());
-    auto& buf = buffers[t];
-    eid_t local_edges = 0;
-#pragma omp for schedule(dynamic, 16) nowait
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      const vid_t s = verts[i];
-      if (prefetch && i + 1 < verts.size())
-        __builtin_prefetch(&offsets[verts[i + 1]]);
-      const auto neigh = adj.neighbors(s);
-      const auto wts = adj.weights(s);
-      local_edges += neigh.size();
-      for (std::size_t j = 0; j < neigh.size(); ++j) {
-        if (prefetch && j + kCsrPrefetchDist < neigh.size())
-          __builtin_prefetch(&neigh[j + kCsrPrefetchDist]);
-        const vid_t d = neigh[j];
-        if (op.cond(d) && op.update_atomic(s, d, wts[j])) buf.push_back(d);
-      }
+#pragma omp for schedule(static)
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t hi =
+          std::min(verts.size(), (b + 1) * kSparseBlockVertices);
+      std::size_t deg = 0;
+      for (std::size_t i = b * kSparseBlockVertices; i < hi; ++i)
+        deg += adj.degree(verts[i]);
+      block_slots[b + 1] = deg;
     }
-    edge_counts[t] = local_edges;
+#pragma omp single
+    {
+      block_slots[0] = 0;
+      for (std::size_t b = 0; b < blocks; ++b)
+        block_slots[b + 1] += block_slots[b];
+      slots = ws.sparse_slots(block_slots[blocks]);
+    }
+    // A block writes the destinations its updates activated (update_atomic
+    // claims a destination exactly once, the Ligra contract) to the front
+    // of its own slot range.
+#pragma omp for schedule(dynamic, 1) reduction(+ : hits) nowait
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t hi =
+          std::min(verts.size(), (b + 1) * kSparseBlockVertices);
+      std::size_t filled = 0;
+      for (std::size_t i = b * kSparseBlockVertices; i < hi; ++i) {
+        const vid_t s = verts[i];
+        if (prefetch && i + 1 < verts.size())
+          __builtin_prefetch(&offsets[verts[i + 1]]);
+        const auto neigh = adj.neighbors(s);
+        const auto wts = adj.weights(s);
+        for (std::size_t j = 0; j < neigh.size(); ++j) {
+          if (prefetch && j + kCsrPrefetchDist < neigh.size())
+            __builtin_prefetch(&neigh[j + kCsrPrefetchDist]);
+          const vid_t d = neigh[j];
+          if (op.cond(d) && op.update_atomic(s, d, wts[j]))
+            slots[block_slots[b] + filled++] = d;
+        }
+      }
+      block_hits[b] = filled;
+      hits += filled;
+    }
   }
 
-  if (edges_examined != nullptr) {
-    eid_t total = 0;
-    for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
-      total += edge_counts[t];
-    *edges_examined = total;
-  }
-
-  // Concatenate per-thread buffers into one sparse list (recycled capacity;
-  // ownership moves into the frontier and returns via
+  // Concatenate the blocks' filled slots into one sparse list (recycled
+  // capacity; ownership moves into the frontier and returns via
   // Frontier::into_workspace).
-  std::size_t total_active = 0;
-  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
-    total_active += buffers[t].size();
   std::vector<vid_t> next = ws.acquire_vertex_list();
-  next.reserve(total_active);
-  for (std::size_t t = 0; t < static_cast<std::size_t>(nt); ++t)
-    next.insert(next.end(), buffers[t].begin(), buffers[t].end());
+  next.reserve(hits);
+  for (std::size_t b = 0; b < blocks; ++b)
+    next.insert(next.end(), slots + block_slots[b],
+                slots + block_slots[b] + block_hits[b]);
 
+  if (edges_examined != nullptr) *edges_examined = block_slots[blocks];
   return Frontier::from_vertices(g.num_vertices(), std::move(next), &weigh);
 }
 

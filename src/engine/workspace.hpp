@@ -8,12 +8,11 @@
 //     Frontier::into_workspace; acquisition clears only the dirty (nonzero)
 //     words of the recycled bitmap (Bitmap::clear_dirty), so the clearing
 //     cost tracks the previous frontier's density rather than |V|;
-//   * sparse vertex lists — the concatenated output of the sparse forward
-//     kernel, and the sparse representation built by Frontier::to_sparse;
-//   * per-thread push buffers — capacity retained across iterations, so the
-//     sparse kernel's push_back reallocations happen only while the high-
-//     water mark is still rising;
-//   * per-chunk / per-thread edge counters and prefix-sum scratch;
+//   * sparse vertex lists — the packed output of the sparse forward kernel,
+//     and the sparse representation built by Frontier::to_sparse;
+//   * the sparse push's edge-slot array — one slot per edge of the active
+//     rows, grown only while the high-water mark is still rising;
+//   * per-chunk edge counters and prefix-sum scratch;
 //   * prepared domain-affine schedules (per-domain item buckets + claim
 //     cursors, domain_sched.hpp), keyed by item set and thread budget.
 //
@@ -129,15 +128,15 @@ class TraversalWorkspace {
       lists_[worst] = std::move(v);
   }
 
-  /// `nt` per-thread push buffers, each emptied but with retained capacity.
-  [[nodiscard]] std::vector<std::vector<vid_t>>& thread_buffers(
-      std::size_t nt) {
-    if (thread_bufs_.size() < nt) thread_bufs_.resize(nt);
-    for (std::size_t t = 0; t < nt; ++t) thread_bufs_[t].clear();
-    return thread_bufs_;
+  /// `n` vertex slots (uninitialized contents) for the sparse push, one
+  /// per edge of the active rows.  Capacity is retained, so once a run's
+  /// largest frontier has been seen the push never allocates.
+  [[nodiscard]] vid_t* sparse_slots(std::size_t n) {
+    if (sparse_slots_.size() < n) sparse_slots_.resize(n);
+    return sparse_slots_.data();
   }
 
-  /// `n` zeroed edge counters (per chunk or per thread).
+  /// `n` zeroed edge counters (one per work chunk).
   [[nodiscard]] std::vector<eid_t>& edge_counters(std::size_t n) {
     counters_.assign(n, 0);
     return counters_;
@@ -194,8 +193,7 @@ class TraversalWorkspace {
   void release_memory() {
     bitmaps_.clear();
     lists_.clear();
-    thread_bufs_.clear();
-    thread_bufs_.shrink_to_fit();
+    sparse_slots_ = {};
     counters_ = {};
     scratch_counts_ = {};
     scratch_offsets_ = {};
@@ -208,7 +206,7 @@ class TraversalWorkspace {
  private:
   std::vector<Bitmap> bitmaps_;
   std::vector<std::vector<vid_t>> lists_;
-  std::vector<std::vector<vid_t>> thread_bufs_;
+  std::vector<vid_t> sparse_slots_;
   std::vector<eid_t> counters_;
   std::vector<std::size_t> scratch_counts_;
   std::vector<std::size_t> scratch_offsets_;

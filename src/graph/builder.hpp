@@ -19,7 +19,13 @@
 //   partition  resolve the partition count and build both the edge- and
 //              vertex-balanced partitionings over the final ID space;
 //   layouts    build the CSR/CSC indexes, the partitioned COO, and (on
-//              request) the partitioned pruned CSR.
+//              request) the partitioned pruned CSR and PCPM bins.  Each
+//              starts with one parallel, stable edge-bucketing pass
+//              (stable_bucket in sys/parallel.hpp: rows for CSR/CSC, home
+//              partitions for the rest), so every bucket holds its edges
+//              in edge-list order and the per-bucket sorts produce the same
+//              bytes at any thread count (docs/BUILD_PIPELINE.md,
+//              "Layouts (stage 4)").
 //
 // Stages run lazily and are memoised; the with_*() setters invalidate
 // exactly the downstream state they affect (changing the COO edge order

@@ -38,6 +38,7 @@ class Csr {
   /// Build from an edge list.  With Adjacency::kOut the neighbor arrays are
   /// grouped by source (CSR); with kIn they are grouped by destination (CSC).
   /// Within a group, neighbors are sorted ascending, matching Fig 1.
+  /// Throws std::out_of_range if an endpoint is >= el.num_vertices().
   static Csr build(const EdgeList& el, Adjacency adj);
 
   [[nodiscard]] vid_t num_vertices() const {

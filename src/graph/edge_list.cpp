@@ -1,6 +1,8 @@
 #include "graph/edge_list.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sys/parallel.hpp"
 
@@ -70,6 +72,31 @@ void EdgeList::sort_by_destination() {
                 [](const Edge& a, const Edge& b) {
                   return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
                 });
+}
+
+void check_endpoints(std::span<const Edge> es, vid_t bound, Endpoints which,
+                     const char* who) {
+  const auto checked = [which](const Edge& e) {
+    switch (which) {
+      case Endpoints::kSource:
+        return e.src;
+      case Endpoints::kDestination:
+        return e.dst;
+      case Endpoints::kBoth:
+        break;
+    }
+    return std::max(e.src, e.dst);
+  };
+  const vid_t top = parallel_reduce_max<vid_t>(
+      0, es.size(), 0, [&](std::size_t i) { return checked(es[i]); });
+  if (es.empty() || top < bound) return;
+  const auto bad = std::find_if(es.begin(), es.end(), [&](const Edge& e) {
+    return checked(e) >= bound;
+  });
+  throw std::out_of_range(
+      std::string(who) + ": edge " + std::to_string(bad - es.begin()) + " (" +
+      std::to_string(bad->src) + " -> " + std::to_string(bad->dst) +
+      ") has an endpoint outside [0, " + std::to_string(bound) + ")");
 }
 
 }  // namespace grind::graph

@@ -72,4 +72,14 @@ class EdgeList {
   std::vector<Edge> edges_;
 };
 
+/// Which endpoints of an edge check_endpoints() range-checks.
+enum class Endpoints { kSource, kDestination, kBoth };
+
+/// Throw std::out_of_range, naming `who` and the first offending edge, if
+/// any checked endpoint of `es` is >= `bound`.  The scan is parallel and the
+/// throw happens after it, so the layout builders call this before their
+/// own parallel passes, which must not throw.
+void check_endpoints(std::span<const Edge> es, vid_t bound, Endpoints which,
+                     const char* who);
+
 }  // namespace grind::graph

@@ -52,6 +52,8 @@ class PartitionedCoo {
   /// NumaModel, each partition's slice of the (contiguous, partition-major)
   /// edge array is routed through the arena of its owning domain
   /// (sys/arena.hpp: mbind under GRIND_NUMA, accounting otherwise).
+  /// Throws std::out_of_range if an edge's homing endpoint lies outside
+  /// [0, parts.num_vertices()).
   static PartitionedCoo build(const graph::EdgeList& el,
                               const Partitioning& parts,
                               EdgeOrder order = EdgeOrder::kSource,

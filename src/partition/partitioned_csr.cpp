@@ -15,23 +15,24 @@ PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
   const auto es = el.edges();
   const bool by_dst = parts.options().by == PartitionBy::kDestination;
 
-  // Bucket edge indices per partition (same pass as PartitionedCoo).
-  std::vector<eid_t> counts(np, 0);
-  for (const Edge& e : es) ++counts[parts.partition_of(by_dst ? e.dst : e.src)];
+  graph::check_endpoints(
+      es, parts.num_vertices(),
+      by_dst ? graph::Endpoints::kDestination : graph::Endpoints::kSource,
+      "PartitionedCsr::build");
+
+  // Bucket edge indices per partition (the same stable pass as
+  // PartitionedCoo: each bucket lists its edges in edge-list order).
+  const std::vector<part_t> home = parts.home_table();
   std::vector<eid_t> offsets(static_cast<std::size_t>(np) + 1);
-  exclusive_scan(counts.data(), offsets.data(), counts.size());
-  offsets[np] = es.size();
   std::vector<eid_t> order(es.size());
-  {
-    std::vector<eid_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (eid_t i = 0; i < es.size(); ++i) {
-      const Edge& e = es[i];
-      order[cursor[parts.partition_of(by_dst ? e.dst : e.src)]++] = i;
-    }
-  }
+  stable_bucket(
+      es.size(), np,
+      [&](std::size_t i) { return home[by_dst ? es[i].dst : es[i].src]; },
+      offsets.data(), [&](eid_t slot, std::size_t i) { order[slot] = i; });
 
   // Compress each bucket into a pruned CSR, in parallel across partitions.
-  parallel_for_dynamic(0, np, [&](std::size_t p) {
+  parallel_for_dynamic_scratch<std::vector<Edge>>(
+      0, np, [&](std::size_t p, std::vector<Edge>& bucket) {
     PrunedCsrPart& part = pc.parts_[p];
     // Allocate this partition's arrays through its owning domain's arena
     // (the §II-E replication buffers live where their traversing threads
@@ -43,7 +44,7 @@ PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
     const eid_t m = hi - lo;
     // Sort the bucket by (group key, target) where the group key is the
     // source (by-destination partitioning) or destination (by-source).
-    std::vector<Edge> bucket(m);
+    bucket.resize(m);
     for (eid_t i = 0; i < m; ++i) bucket[i] = es[order[lo + i]];
     auto group_of = [by_dst](const Edge& e) { return by_dst ? e.src : e.dst; };
     auto target_of = [by_dst](const Edge& e) { return by_dst ? e.dst : e.src; };

@@ -76,7 +76,8 @@ class PartitionedCsr {
   /// per-partition replication buffer of §II-E — are *allocated* through
   /// the ArenaAllocator of NumaModel::domain_of_partition, so the pages
   /// are first-touch-faulted on (and, under GRIND_NUMA, bound to) the
-  /// owning domain from the start.
+  /// owning domain from the start.  Throws std::out_of_range if an edge's
+  /// homing endpoint lies outside [0, parts.num_vertices()).
   static PartitionedCsr build(const graph::EdgeList& el,
                               const Partitioning& parts,
                               const NumaModel* numa = nullptr);

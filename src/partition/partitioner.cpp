@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "sys/parallel.hpp"
+
 namespace grind::partition {
 
 part_t Partitioning::partition_of(vid_t v) const {
@@ -20,6 +22,15 @@ part_t Partitioning::partition_of(vid_t v) const {
       ranges_.begin(), ranges_.end(), v,
       [](vid_t lhs, const VertexRange& r) { return lhs < r.begin; });
   return static_cast<part_t>((it - ranges_.begin()) - 1);
+}
+
+std::vector<part_t> Partitioning::home_table() const {
+  std::vector<part_t> home(num_vertices());
+  parallel_for_dynamic(0, ranges_.size(), [&](std::size_t p) {
+    std::fill(home.begin() + ranges_[p].begin, home.begin() + ranges_[p].end,
+              static_cast<part_t>(p));
+  });
+  return home;
 }
 
 void Partitioning::build_sub_chunks() {

@@ -90,6 +90,11 @@ class Partitioning {
   /// partition mis-homed every out-of-range edge endpoint.
   [[nodiscard]] part_t partition_of(vid_t v) const;
 
+  /// partition_of for every vertex at once: a num_vertices()-entry table,
+  /// so builders that home every edge look it up in O(1) instead of
+  /// searching the boundaries per edge.
+  [[nodiscard]] std::vector<part_t> home_table() const;
+
   /// Number of vertices covered (== |V| of the partitioned graph).
   [[nodiscard]] vid_t num_vertices() const {
     return ranges_.empty() ? 0 : ranges_.back().end;

@@ -14,22 +14,24 @@ PcpmBins PcpmBins::build(const graph::EdgeList& el, const Partitioning& parts,
   const auto es = el.edges();
   bins.total_slots_ = es.size();
 
+  // The bins need the home of both endpoints: the destination's picks the
+  // partition, the source's the bin.
+  graph::check_endpoints(es, parts.num_vertices(), graph::Endpoints::kBoth,
+                         "PcpmBins::build");
+  const std::vector<part_t> home = parts.home_table();
+
   // Bucket edge indices by destination partition (always by destination —
-  // the gather owns destinations, which is what elides the atomics).
-  std::vector<eid_t> counts(np, 0);
-  for (const Edge& e : es) ++counts[parts.partition_of(e.dst)];
+  // the gather owns destinations, which is what elides the atomics), with
+  // the stable pass of PartitionedCoo.
   std::vector<eid_t> offsets(static_cast<std::size_t>(np) + 1);
-  exclusive_scan(counts.data(), offsets.data(), counts.size());
-  offsets[np] = es.size();
   std::vector<eid_t> order(es.size());
-  {
-    std::vector<eid_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (eid_t i = 0; i < es.size(); ++i)
-      order[cursor[parts.partition_of(es[i].dst)]++] = i;
-  }
+  stable_bucket(
+      es.size(), np, [&](std::size_t i) { return home[es[i].dst]; },
+      offsets.data(), [&](eid_t slot, std::size_t i) { order[slot] = i; });
 
   // Fill each destination partition's bins, in parallel across partitions.
-  parallel_for_dynamic(0, np, [&](std::size_t dp) {
+  parallel_for_dynamic_scratch<std::vector<Edge>>(
+      0, np, [&](std::size_t dp, std::vector<Edge>& bucket) {
     PcpmPartBins& part = bins.parts_[static_cast<part_t>(dp)];
     // Consumer-domain placement: the gather for dp runs on dp's domain and
     // these are the arrays it walks.
@@ -43,7 +45,7 @@ PcpmBins PcpmBins::build(const graph::EdgeList& el, const Partitioning& parts,
     // Sort dp's in-edges by (src, dst) — PartitionedCoo::EdgeOrder::kSource.
     // Contiguous ascending partition ranges make this grouped by source
     // partition as a side effect, which is the bin boundary structure.
-    std::vector<Edge> bucket(m);
+    bucket.resize(m);
     for (eid_t i = 0; i < m; ++i) bucket[i] = es[order[lo + i]];
     std::sort(bucket.begin(), bucket.end(), [](const Edge& a, const Edge& b) {
       return a.src != b.src ? a.src < b.src : a.dst < b.dst;
@@ -61,7 +63,7 @@ PcpmBins PcpmBins::build(const graph::EdgeList& el, const Partitioning& parts,
     // Per-source-partition bin offsets: count, then prefix-sum in place.
     part.offsets.assign(static_cast<std::size_t>(np) + 1, 0);
     for (eid_t i = 0; i < m; ++i)
-      ++part.offsets[parts.partition_of(part.src[i]) + 1];
+      ++part.offsets[home[part.src[i]] + 1];
     for (part_t sp = 0; sp < np; ++sp)
       part.offsets[sp + 1] += part.offsets[sp];
   });

@@ -76,7 +76,8 @@ class PcpmBins {
 
   /// Build from an edge list and a partitioning.  With a NumaModel each
   /// partition's arrays are allocated through the arena of
-  /// NumaModel::domain_of_partition(dp) — the consumer's domain.
+  /// NumaModel::domain_of_partition(dp) — the consumer's domain.  Throws
+  /// std::out_of_range if an endpoint lies outside [0, parts.num_vertices()).
   static PcpmBins build(const graph::EdgeList& el, const Partitioning& parts,
                         const NumaModel* numa = nullptr);
 

@@ -16,7 +16,7 @@
 //
 // Leases are domain-preferring: acquire(domain) first looks for an idle
 // workspace last used on the same NUMA domain, so a pinned service worker
-// keeps getting scratch whose pages (bitmaps, push buffers, cached affine
+// keeps getting scratch whose pages (bitmaps, sparse-push slots, cached affine
 // schedules) were faulted in by threads of its own domain.  Creating a
 // fresh workspace beats stealing another domain's warm one; a foreign warm
 // workspace is the last resort.  Domain kAnyDomain (-1) restores the old

@@ -1,6 +1,6 @@
 // OpenMP-based parallel primitives: parallel_for over index ranges, tree
-// reductions, inclusive/exclusive prefix sums and a parallel merge-style
-// sort.  This is the only module that touches OpenMP pragmas directly (apart
+// reductions, inclusive/exclusive prefix sums, a stable bucketing (counting)
+// sort and a parallel merge-style sort.  This is the only module that touches OpenMP pragmas directly (apart
 // from the traversal kernels), so the rest of the library stays portable.
 //
 // The paper's framework is built on Cilk with NUMA-aware loop scheduling;
@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 namespace grind {
@@ -110,6 +111,99 @@ void parallel_for_dynamic(std::size_t begin, std::size_t end, F&& f,
   }
 #pragma omp parallel for schedule(dynamic, chunk)
   for (std::size_t i = begin; i < end; ++i) f(i);
+}
+
+/// parallel_for_dynamic whose body also receives a per-thread `Scratch&`,
+/// default-constructed once per thread and reused across that thread's
+/// iterations: f(i, scratch).  For loops that need a temporary buffer per
+/// iteration (per-row or per-bucket sorts) without allocating one each time.
+template <typename Scratch, typename F>
+void parallel_for_dynamic_scratch(std::size_t begin, std::size_t end, F&& f,
+                                  std::size_t chunk = 1) {
+  const std::size_t n = end > begin ? end - begin : 0;
+  if (n <= 1 || num_threads() == 1) {
+    Scratch s;
+    for (std::size_t i = begin; i < end; ++i) f(i, s);
+    return;
+  }
+#pragma omp parallel
+  {
+    Scratch s;
+#pragma omp for schedule(dynamic, chunk)
+    for (std::size_t i = begin; i < end; ++i) f(i, s);
+  }
+}
+
+/// Stable parallel bucketing — a counting sort of the items [0, n) by
+/// key(i) ∈ [0, num_keys).  Writes the bucket bounds to `offsets`
+/// (num_keys + 1 entries: bucket k is [offsets[k], offsets[k+1])) and calls
+/// place(slot, i) exactly once per item, with slot inside its bucket.  Each
+/// bucket receives its items in ascending i — the order of a serial
+/// count-and-scatter loop — at every thread count.
+///
+/// Every thread of the team owns a contiguous key range and scans all n
+/// items, acting only on the keys it owns: first counting, under an even
+/// split of the key space, then placing, under a split balanced by bucket
+/// sizes.  One thread places a whole bucket, in item order, so the result
+/// needs no atomics and does not depend on the schedule; the only scratch
+/// is one num_keys-entry cursor array plus O(threads).  The same code runs
+/// at one thread (a team of one).  key(i) must lie in [0, num_keys): range-
+/// check before calling, since nothing may throw inside the region.
+template <typename T, typename KeyFn, typename PlaceFn>
+void stable_bucket(std::size_t n, std::size_t num_keys, KeyFn&& key,
+                   T* offsets, PlaceFn&& place) {
+  const int nt = num_threads();
+  // Uninitialised: each thread zeroes (first-touches) the share it counts.
+  const auto cursor = std::make_unique_for_overwrite<T[]>(num_keys);
+  std::vector<T> team_base(static_cast<std::size_t>(nt) + 1, T{});
+#pragma omp parallel num_threads(nt)
+  {
+    const auto t = static_cast<std::size_t>(omp_get_thread_num());
+    const auto team = static_cast<std::size_t>(omp_get_num_threads());
+    // 1. Count the keys of an even share of the key space.
+    const std::size_t clo = num_keys * t / team;
+    const std::size_t chi = num_keys * (t + 1) / team;
+    std::fill(cursor.get() + clo, cursor.get() + chi, T{});
+    T mine{};
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = key(i);
+      if (k >= clo && k < chi) {
+        ++cursor[k];
+        ++mine;
+      }
+    }
+    team_base[t + 1] = mine;
+#pragma omp barrier
+#pragma omp single
+    for (std::size_t s = 1; s <= team; ++s) team_base[s] += team_base[s - 1];
+    // 2. Offsets of the counted share (the single's barrier published the
+    //    shares' bases).
+    T run = team_base[t];
+    for (std::size_t k = clo; k < chi; ++k) {
+      const T c = cursor[k];
+      offsets[k] = run;
+      run += c;
+    }
+    if (t + 1 == team) offsets[num_keys] = run;
+#pragma omp barrier
+    // 3. Place: re-split the keys so each thread owns about n / team items,
+    //    point the owned keys' cursors at their bucket starts, and scatter
+    //    the owned keys' items in index order.
+    auto split = [&](std::size_t s) -> std::size_t {
+      if (s == 0) return 0;
+      if (s == team) return num_keys;
+      const T target = static_cast<T>(n * s / team);
+      return static_cast<std::size_t>(
+          std::lower_bound(offsets, offsets + num_keys, target) - offsets);
+    };
+    const std::size_t plo = split(t);
+    const std::size_t phi = split(t + 1);
+    for (std::size_t k = plo; k < phi; ++k) cursor[k] = offsets[k];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = key(i);
+      if (k >= plo && k < phi) place(cursor[k]++, i);
+    }
+  }
 }
 
 /// Parallel sum-reduction of f(i) over [begin, end).  Uses the OpenMP
