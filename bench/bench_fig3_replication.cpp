@@ -88,7 +88,7 @@ int main() {
     const auto g = graph::Graph::build(graph::EdgeList(matrix_el), bopts);
 
     const auto& pe = g.partitioning_edges();
-    const double repl = partition::replication_factor(g.edge_list(), pe);
+    const double repl = partition::replication_factor(g.csr(), pe);
     // The pre-registry build path at the same resolved P, on the raw edge
     // list — the contiguous rows' bit-for-bit anchor.
     const auto direct =

@@ -121,7 +121,7 @@ void run_layout(benchmark::State& state, engine::Layout layout,
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = allocs_now();
-    Frontier all = Frontier::all(g.num_vertices(), &g.csr());
+    Frontier all = Frontier::all(g.num_vertices(), g.csr());
     engine::TraversalWorkspace ws;
     engine::edge_map(g, all, AccumOp{acc.data(), x.data()}, ws, opts);
     benchmark::DoNotOptimize(acc.data());
@@ -145,7 +145,7 @@ void run_layout_reused(benchmark::State& state, engine::Layout layout,
   opts.layout = layout;
   opts.atomics = atomics;
   engine::Engine eng(g, opts);
-  Frontier all = Frontier::all(g.num_vertices(), &g.csr());
+  Frontier all = Frontier::all(g.num_vertices(), g.csr());
   {  // warm the pools so the loop below measures the steady state
     Frontier next = eng.edge_map(all, AccumOp{acc.data(), x.data()});
     eng.recycle(next);
@@ -228,7 +228,7 @@ void BM_SparsePush(benchmark::State& state) {
   std::vector<vid_t> verts;
   for (vid_t v = 0; v < g.num_vertices(); v += 97) verts.push_back(v);
   for (auto _ : state) {
-    Frontier f = Frontier::from_vertices(g.num_vertices(), verts, &g.csr());
+    Frontier f = Frontier::from_vertices(g.num_vertices(), verts, g.csr());
     AccumOp op{acc.data(), x.data()};
     eid_t edges = 0;
     engine::TraversalWorkspace ws;  // fresh: measures cold-scratch cost
@@ -247,7 +247,7 @@ void BM_SparsePush_Reused(benchmark::State& state) {
   for (vid_t v = 0; v < g.num_vertices(); v += 97) verts.push_back(v);
   engine::TraversalWorkspace ws;
   std::uint64_t allocs = 0;
-  Frontier f = Frontier::from_vertices(g.num_vertices(), verts, &g.csr());
+  Frontier f = Frontier::from_vertices(g.num_vertices(), verts, g.csr());
   for (auto _ : state) {
     const std::uint64_t before = allocs_now();
     AccumOp op{acc.data(), x.data()};
@@ -317,7 +317,7 @@ void audit_pagerank(engine::Engine& eng, int iters,
   const vid_t n = g.num_vertices();
   std::vector<double> acc(n, 0.0);
   std::vector<double> x(n, 1.0);
-  Frontier all = Frontier::all(n, &g.csr());
+  Frontier all = Frontier::all(n, g.csr());
   double steady_seconds = 0.0;
   int steady_iters = 0;
   for (int it = 0; it < iters; ++it) {
@@ -349,7 +349,7 @@ void audit_bfs(engine::Engine& eng, vid_t source,
   auto run = [&](bool record) {
     std::vector<vid_t> parent(n, kInvalidVertex);
     parent[source] = source;
-    Frontier f = Frontier::single(n, source, &g.csr());
+    Frontier f = Frontier::single(n, source, g.csr());
     Timer t;
     while (!f.empty()) {
       const std::uint64_t before = allocs_now();

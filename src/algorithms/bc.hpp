@@ -104,7 +104,7 @@ BcResult betweenness_centrality(Eng& eng, vid_t source) {
 
   // Forward sweep, recording every level's frontier for the reverse pass.
   std::vector<Frontier> levels;
-  levels.push_back(Frontier::single(n, src, &g.csr()));
+  levels.push_back(Frontier::single(n, src, g.csr()));
   std::int64_t depth = 0;
   while (!levels.back().empty()) {
     ++depth;
@@ -144,12 +144,5 @@ BcResult betweenness_centrality(Eng& eng, vid_t source) {
   r.level = g.remap().values_to_original(std::move(r.level));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-BcResult betweenness_centrality(const graph::Graph& g,
-                                engine::TraversalWorkspace& ws, vid_t source,
-                                const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

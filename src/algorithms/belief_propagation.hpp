@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "engine/operators.hpp"
-#include "engine/options.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
 #include "sys/parallel.hpp"
@@ -130,7 +129,7 @@ BeliefPropagationResult belief_propagation(Eng& eng,
   std::vector<double> acc0(n, 0.0), acc1(n, 0.0);
 
   // One full frontier for the whole run (BP always processes every edge).
-  Frontier all = Frontier::all(n, &g.csr());
+  Frontier all = Frontier::all(n, g.csr());
 
   for (int it = 0; it < opts.iterations; ++it) {
     parallel_for(0, n, [&](std::size_t v) { acc0[v] = acc1[v] = 0.0; });
@@ -153,13 +152,5 @@ BeliefPropagationResult belief_propagation(Eng& eng,
   r.belief0 = remap.values_to_original(std::move(r.belief0));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-BeliefPropagationResult belief_propagation(
-    const graph::Graph& g, engine::TraversalWorkspace& ws,
-    BeliefPropagationOptions popts = {},
-    const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

@@ -77,7 +77,7 @@ BellmanFordResult bellman_ford(Eng& eng, vid_t source) {
   // `source` arrives in original-ID space; the traversal runs internal.
   const vid_t src = g.remap().to_internal(source);
   r.dist[src] = 0.0;
-  Frontier frontier = Frontier::single(n, src, &g.csr());
+  Frontier frontier = Frontier::single(n, src, g.csr());
 
   // Non-negative weights ⇒ at most |V| rounds; cap defensively anyway.
   while (!frontier.empty() && r.rounds < static_cast<int>(n) + 1) {
@@ -93,12 +93,5 @@ BellmanFordResult bellman_ford(Eng& eng, vid_t source) {
   r.dist = g.remap().values_to_original(std::move(r.dist));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-BellmanFordResult bellman_ford(const graph::Graph& g,
-                               engine::TraversalWorkspace& ws, vid_t source,
-                               const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

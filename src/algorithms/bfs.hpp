@@ -83,7 +83,7 @@ BfsResult bfs(Eng& eng, vid_t source) {
   r.level[src] = 0;
   r.reached = 1;
 
-  Frontier frontier = Frontier::single(n, src, &g.csr());
+  Frontier frontier = Frontier::single(n, src, g.csr());
   std::int64_t depth = 0;
   while (!frontier.empty()) {
     ++depth;
@@ -103,13 +103,5 @@ BfsResult bfs(Eng& eng, vid_t source) {
   r.level = g.remap().values_to_original(std::move(r.level));
   return r;
 }
-
-/// Re-entrant entry point: the same computation, but all traversal scratch
-/// comes from the caller-owned `ws` instead of an engine-owned slot.  Safe
-/// to call concurrently from many threads against one shared immutable
-/// Graph as long as every concurrent call uses a distinct workspace
-/// (service::GraphService checks one out of its WorkspacePool per query).
-BfsResult bfs(const graph::Graph& g, engine::TraversalWorkspace& ws,
-              vid_t source, const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

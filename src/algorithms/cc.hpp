@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "engine/operators.hpp"
-#include "engine/options.hpp"
 #include "engine/vertex_map.hpp"
 #include "frontier/frontier.hpp"
 #include "sys/atomics.hpp"
@@ -76,7 +75,7 @@ CcResult connected_components(Eng& eng) {
   if (n == 0) return r;
 
   std::vector<unsigned char> claimed(n, 0);
-  Frontier frontier = Frontier::all(n, &g.csr());
+  Frontier frontier = Frontier::all(n, g.csr());
   while (!frontier.empty()) {
     Frontier next =
         eng.edge_map(frontier, detail::CcOp{r.labels.data(), claimed.data()});
@@ -114,12 +113,5 @@ CcResult connected_components(Eng& eng) {
   }
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-CcResult connected_components(const graph::Graph& g,
-                              engine::TraversalWorkspace& ws,
-                              const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

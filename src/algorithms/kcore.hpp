@@ -97,7 +97,7 @@ KcoreResult kcore(Eng& eng) {
   // concept.
   std::vector<std::int64_t> deg(n, 0);
   {
-    Frontier all = Frontier::all(n, &g.csr());
+    Frontier all = Frontier::all(n, g.csr());
     Frontier out = eng.edge_map(all, detail::KcoreIndegreeOp{deg.data()});
     if constexpr (requires { eng.recycle(all); }) {
       eng.recycle(all);
@@ -114,7 +114,7 @@ KcoreResult kcore(Eng& eng) {
     // Peel every vertex that cannot be in the k-core; repeat until the
     // stage stabilises (a batch's decrements can push survivors below k).
     for (;;) {
-      Frontier candidates = Frontier::all(n, &g.csr());
+      Frontier candidates = Frontier::all(n, g.csr());
       Frontier peel = eng.vertex_map(candidates, [&](vid_t v) {
         return alive[v] != 0 && deg[v] < static_cast<std::int64_t>(k);
       });
@@ -149,11 +149,5 @@ KcoreResult kcore(Eng& eng) {
   r.core = g.remap().values_to_original(std::move(r.core));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-KcoreResult kcore(const graph::Graph& g, engine::TraversalWorkspace& ws,
-                  const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

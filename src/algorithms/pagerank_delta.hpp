@@ -111,7 +111,7 @@ PageRankDeltaResult pagerank_delta(Eng& eng, PageRankDeltaOptions opts = {}) {
   std::vector<double> acc(n, 0.0);
   std::vector<unsigned char> claimed(n, 0);
 
-  Frontier frontier = Frontier::all(n, &g.csr());
+  Frontier frontier = Frontier::all(n, g.csr());
 
   // Classify rounds with the thresholds the engine decides by, so under
   // non-default Options the counters still name the kernels that ran;
@@ -161,13 +161,5 @@ PageRankDeltaResult pagerank_delta(Eng& eng, PageRankDeltaOptions opts = {}) {
   r.rank = g.remap().values_to_original(std::move(r.rank));
   return r;
 }
-
-/// Re-entrant entry point: the same computation on a caller-owned
-/// workspace instead of an engine-owned slot; safe for concurrent use on
-/// one shared immutable Graph with one distinct workspace per call.
-PageRankDeltaResult pagerank_delta(const graph::Graph& g,
-                                   engine::TraversalWorkspace& ws,
-                                   PageRankDeltaOptions popts = {},
-                                   const engine::Options& opts = {});
 
 }  // namespace grind::algorithms

@@ -109,9 +109,8 @@ inline bool decide_atomics(const graph::Graph& g, const Options& opts) {
 /// the running algorithm's orientation (§III-D).
 inline const partition::Partitioning& gather_ranges(const graph::Graph& g,
                                                     const Options& opts) {
-  return opts.csc_balance == partition::BalanceMode::kVertices
-             ? g.partitioning_vertices()
-             : g.partitioning_edges();
+  return opts.orientation == Orientation::kVertex ? g.partitioning_vertices()
+                                                  : g.partitioning_edges();
 }
 
 /// Apply `op` to the out-edges of the active vertices of `f`; returns the

@@ -36,9 +36,8 @@ class Engine {
   /// that recycle() retired frontiers run allocation-free at steady state.
   template <EdgeOperator Op>
   Frontier edge_map(Frontier& f, Op op) {
-    Frontier out = engine::edge_map(*graph_, f, std::move(op), workspace(),
-                                    opts_,
-                                    opts_.collect_stats ? &stats_ : nullptr);
+    Frontier out =
+        engine::edge_map(*graph_, f, std::move(op), workspace(), opts_, &stats_);
     ++sweeps_done_;
     return out;
   }
@@ -46,9 +45,8 @@ class Engine {
   /// Apply an edge operator over the transposed graph (data flows d→s).
   template <EdgeOperator Op>
   Frontier edge_map_transpose(Frontier& f, Op op) {
-    Frontier out = engine::edge_map_transpose(
-        *graph_, f, std::move(op), workspace(), opts_,
-        opts_.collect_stats ? &stats_ : nullptr);
+    Frontier out = engine::edge_map_transpose(*graph_, f, std::move(op),
+                                              workspace(), opts_, &stats_);
     ++sweeps_done_;
     return out;
   }
@@ -79,16 +77,10 @@ class Engine {
   /// just before overwriting it with the new one.
   void recycle(Frontier& f) { f.into_workspace(workspace()); }
 
-  /// Declare the running algorithm's orientation (§III-D); maps to the CSC
-  /// computation-range balance criterion.
-  void set_orientation(Orientation o) {
-    orientation_ = o;
-    opts_.orientation = o;
-    opts_.csc_balance = o == Orientation::kVertex
-                            ? partition::BalanceMode::kVertices
-                            : partition::BalanceMode::kEdges;
-  }
-  [[nodiscard]] Orientation orientation() const { return orientation_; }
+  /// Declare the running algorithm's orientation (§III-D); gather_ranges
+  /// (edge_map.hpp) maps it to the CSC computation-range balance criterion.
+  void set_orientation(Orientation o) { opts_.orientation = o; }
+  [[nodiscard]] Orientation orientation() const { return opts_.orientation; }
 
   /// Filtered vertex map over the active vertices.
   template <typename Fn>
@@ -124,7 +116,6 @@ class Engine {
   Options opts_;
   TraversalStats stats_;
   int sweeps_done_ = 0;
-  Orientation orientation_ = Orientation::kEdge;
   TraversalWorkspace* external_ws_ = nullptr;
   std::unique_ptr<TraversalWorkspace> owned_ws_;
 };

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "partition/partitioner.hpp"
 #include "sys/cancel.hpp"
 #include "sys/types.hpp"
 
@@ -71,20 +70,15 @@ struct Options {
   /// knob rather than a constant so the ablation bench can measure it.
   bool prefetch = true;
 
-  /// Balance criterion for the CSC computation range (§III-D): edge-oriented
-  /// algorithms balance edges, vertex-oriented ones balance vertices.
-  partition::BalanceMode csc_balance = partition::BalanceMode::kEdges;
-
   /// The running algorithm's orientation.  §IV-A: "Vertex-oriented
   /// algorithms perform best when using the CSC layout, while edge-oriented
   /// algorithms perform best using the COO layout" — in kAuto mode, dense
   /// frontiers of vertex-oriented algorithms are routed to the backward CSC
   /// (whose per-destination early exit suits claim-style operators) instead
-  /// of the COO.
+  /// of the COO.  It also picks the balance criterion of the CSC
+  /// computation range (§III-D, gather_ranges in edge_map.hpp):
+  /// edge-oriented algorithms balance edges, vertex-oriented ones vertices.
   Orientation orientation = Orientation::kEdge;
-
-  /// Collect per-traversal statistics (cheap; on by default).
-  bool collect_stats = true;
 
   /// Cooperative cancellation token, polled at every edge_map boundary and
   /// once per partition sweep inside the partition-parallel kernels.  When

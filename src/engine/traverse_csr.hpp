@@ -122,7 +122,7 @@ Frontier traverse_csr_sparse(const graph::Graph& g, Frontier& f, Op& op,
                 slots + block_slots[b] + block_hits[b]);
 
   if (edges_examined != nullptr) *edges_examined = block_slots[blocks];
-  return Frontier::from_vertices(g.num_vertices(), std::move(next), &weigh);
+  return Frontier::from_vertices(g.num_vertices(), std::move(next), weigh);
 }
 
 }  // namespace grind::engine

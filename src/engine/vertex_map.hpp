@@ -75,7 +75,7 @@ Frontier vertex_map(const graph::Graph& g, const Frontier& f, Fn&& fn) {
   }
   std::vector<vid_t> next;
   for (auto& b : buffers) next.insert(next.end(), b.begin(), b.end());
-  return Frontier::from_vertices(f.num_vertices(), std::move(next), &g.csr());
+  return Frontier::from_vertices(f.num_vertices(), std::move(next), g.csr());
 }
 
 }  // namespace grind::engine

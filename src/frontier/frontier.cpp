@@ -14,37 +14,33 @@ Frontier Frontier::empty(vid_t n) {
   return f;
 }
 
-Frontier Frontier::single(vid_t n, vid_t v, const graph::Csr* out) {
+Frontier Frontier::single(vid_t n, vid_t v, const graph::Csr& out) {
   Frontier f;
   f.n_ = n;
   f.sparse_.push_back(v);
   f.num_active_ = 1;
-  f.out_degree_ = out != nullptr ? out->degree(v) : 0;
+  f.out_degree_ = out.degree(v);
   return f;
 }
 
-Frontier Frontier::all(vid_t n, const graph::Csr* out) {
+Frontier Frontier::all(vid_t n, const graph::Csr& out) {
   Frontier f;
   f.n_ = n;
   f.dense_rep_ = true;
   f.dense_ = Bitmap(n);
   f.dense_.set_all();
   f.num_active_ = n;
-  f.out_degree_ = out != nullptr ? out->num_edges() : 0;
+  f.out_degree_ = out.num_edges();
   return f;
 }
 
 Frontier Frontier::from_vertices(vid_t n, std::vector<vid_t> verts,
-                                 const graph::Csr* out) {
+                                 const graph::Csr& out) {
   Frontier f;
   f.n_ = n;
   f.sparse_ = std::move(verts);
   f.num_active_ = static_cast<vid_t>(f.sparse_.size());
-  if (out != nullptr) {
-    f.out_degree_ = parallel_reduce_sum<eid_t>(
-        0, f.sparse_.size(),
-        [&](std::size_t i) { return out->degree(f.sparse_[i]); });
-  }
+  f.out_degree_ = f.degree_sum(out);
   return f;
 }
 

@@ -28,18 +28,17 @@ class Frontier {
   /// Empty frontier over n vertices (sparse representation).
   static Frontier empty(vid_t n);
 
-  /// Frontier containing exactly `v` (sparse).  deg⁺ statistic is filled
-  /// from `out` when provided.
-  static Frontier single(vid_t n, vid_t v, const graph::Csr* out = nullptr);
+  /// Frontier containing exactly `v` (sparse); Σ deg⁺ = deg⁺(v) in `out`.
+  /// The factories below take the out-adjacency so that Algorithm 2 never
+  /// weighs a frontier by |F| alone.
+  static Frontier single(vid_t n, vid_t v, const graph::Csr& out);
 
-  /// Frontier with all n vertices active (dense); Σ deg⁺ = |E| when `out`
-  /// is provided.
-  static Frontier all(vid_t n, const graph::Csr* out = nullptr);
+  /// Frontier with all n vertices active (dense); Σ deg⁺ = |E| of `out`.
+  static Frontier all(vid_t n, const graph::Csr& out);
 
-  /// Sparse frontier from an explicit vertex list (statistics recomputed
-  /// from `out` when provided).
+  /// Sparse frontier from an explicit vertex list, Σ deg⁺ summed over `out`.
   static Frontier from_vertices(vid_t n, std::vector<vid_t> verts,
-                                const graph::Csr* out = nullptr);
+                                const graph::Csr& out);
 
   /// Dense frontier adopting a bitmap produced by a traversal.  Statistics
   /// must be provided by the caller or recomputed via recount().

@@ -209,9 +209,10 @@ GraphBuilder& GraphBuilder::partition() {
   // The edge-balanced partitioning adopts the assign stage's ranges (for
   // the contiguous baseline these are exactly Algorithm 1's boundaries);
   // its per-partition edge counts are the in-degree mass each range holds
-  // under partition-by-destination.
+  // under partition-by-destination.  The same in-degrees feed the
+  // vertex-balanced partitioning.
+  const std::vector<eid_t> degrees = el_.in_degrees();
   {
-    const std::vector<eid_t> degrees = el_.in_degrees();
     std::vector<eid_t> counts(assign_ranges_.size(), 0);
     std::vector<eid_t> cum(degrees.size() + 1, 0);
     for (std::size_t v = 0; v < degrees.size(); ++v)
@@ -222,8 +223,8 @@ GraphBuilder& GraphBuilder::partition() {
                                           popts);
   }
   popts.balance = partition::BalanceMode::kVertices;
-  part_vertices_ =
-      partition::make_partitioning(el_, opts_.num_partitions, popts);
+  part_vertices_ = partition::make_partitioning_from_degrees(
+      degrees, opts_.num_partitions, popts);
   partition_done_ = true;
   return *this;
 }
@@ -286,7 +287,6 @@ const partition::Partitioning& GraphBuilder::partitioning_vertices() {
 Graph GraphBuilder::build() & {
   layouts();
   Graph g;
-  g.el_ = el_;
   g.opts_ = opts_;
   g.remap_ = remap_;
   g.csr_ = csr_;
@@ -311,7 +311,6 @@ Graph GraphBuilder::build() & {
 Graph GraphBuilder::build() && {
   layouts();
   Graph g;
-  g.el_ = std::move(el_);
   g.opts_ = opts_;
   g.remap_ = std::move(remap_);
   g.csr_ = std::move(csr_);

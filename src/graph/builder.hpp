@@ -30,16 +30,19 @@
 // Stages run lazily and are memoised; the with_*() setters invalidate
 // exactly the downstream state they affect (changing the COO edge order
 // rebuilds only the COO bucket sort — the ordering, partitionings, and
-// CSR/CSC indexes are reused).  `build() &` copies the cached products into
+// CSR/CSC indexes are reused).  `build() &` copies the cached layouts into
 // a Graph and leaves the builder reusable, which is what lets
 // bench_fig7_sort_order sweep vertex orderings × edge orders without
-// rebuilding unrelated stages; `build() &&` moves them out.
+// rebuilding unrelated stages; `build() &&` moves them out.  The edge list
+// is never handed to the Graph: it stays in the builder (edge_list()) and
+// is freed with it.
 //
-// Known tradeoff: the lvalue build() deep-copies the cached stage products
-// (memcpy of large arrays) rather than sharing them — cheap next to the
-// sorts it avoids re-running, but it transiently doubles the graph's
-// footprint.  Sweeps that are memory-bound should drop each Graph before
-// the next build(), or use the rvalue overload for the final point.
+// Known tradeoff: the lvalue build() deep-copies the cached layouts (memcpy
+// of large arrays) rather than sharing them — cheap next to the sorts it
+// avoids re-running, but while both live the builder's layouts and edge
+// list sit beside the Graph's copies.  Sweeps that are memory-bound should
+// drop each Graph before the next build(), or use the rvalue overload for
+// the final point.
 #pragma once
 
 #include <memory>
@@ -82,9 +85,10 @@ class GraphBuilder {
   const partition::Partitioning& partitioning_edges();
   const partition::Partitioning& partitioning_vertices();
 
-  /// Finish pending stages and assemble a Graph.  The lvalue overload
-  /// copies the cached stage products so the builder stays reusable; the
-  /// rvalue overload moves them (what Graph::build uses).
+  /// Finish pending stages and assemble a Graph from the layouts.  The
+  /// lvalue overload copies them so the builder stays reusable; the rvalue
+  /// overload moves them (what Graph::build uses).  Neither gives the Graph
+  /// the edge list.
   [[nodiscard]] Graph build() &;
   [[nodiscard]] Graph build() &&;
 

@@ -8,6 +8,37 @@
 
 namespace grind::graph {
 
+namespace {
+
+// Rows per dynamic-schedule claim of the row sort (as in Csr::build).
+constexpr std::size_t kRowSortChunk = 256;
+
+/// Stably sort `edges` by (row, col): a stable bucketing by the row
+/// endpoint, then a stable sort of each row by the other one.  Equal
+/// (row, col) pairs keep their input order at every thread count.
+/// Endpoints must lie in [0, n).
+void stable_sort_edges(std::vector<Edge>& edges, vid_t n,
+                       const vid_t Edge::*row, const vid_t Edge::*col) {
+  std::vector<Edge> sorted(edges.size());
+  std::vector<eid_t> offsets(static_cast<std::size_t>(n) + 1);
+  stable_bucket(
+      edges.size(), n, [&](std::size_t i) { return edges[i].*row; },
+      offsets.data(), [&](eid_t slot, std::size_t i) { sorted[slot] = edges[i]; });
+  parallel_for_dynamic(
+      0, n,
+      [&](std::size_t v) {
+        std::stable_sort(sorted.begin() + offsets[v],
+                         sorted.begin() + offsets[v + 1],
+                         [col](const Edge& a, const Edge& b) {
+                           return a.*col < b.*col;
+                         });
+      },
+      kRowSortChunk);
+  edges = std::move(sorted);
+}
+
+}  // namespace
+
 void EdgeList::add(vid_t src, vid_t dst, weight_t w) {
   edges_.push_back(Edge{src, dst, w});
   if (src >= num_vertices_) num_vertices_ = src + 1;
@@ -22,7 +53,7 @@ eid_t EdgeList::remove_self_loops() {
 
 eid_t EdgeList::deduplicate() {
   const std::size_t before = edges_.size();
-  sort_by_source();
+  sort_by_source();  // stable, so each pair's first occurrence leads its run
   auto last = std::unique(edges_.begin(), edges_.end(),
                           [](const Edge& a, const Edge& b) {
                             return a.src == b.src && a.dst == b.dst;
@@ -61,17 +92,15 @@ eid_t EdgeList::max_degree() const {
 }
 
 void EdgeList::sort_by_source() {
-  parallel_sort(edges_.begin(), edges_.end(),
-                [](const Edge& a, const Edge& b) {
-                  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-                });
+  check_endpoints(edges_, num_vertices_, Endpoints::kBoth,
+                  "EdgeList::sort_by_source");
+  stable_sort_edges(edges_, num_vertices_, &Edge::src, &Edge::dst);
 }
 
 void EdgeList::sort_by_destination() {
-  parallel_sort(edges_.begin(), edges_.end(),
-                [](const Edge& a, const Edge& b) {
-                  return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-                });
+  check_endpoints(edges_, num_vertices_, Endpoints::kBoth,
+                  "EdgeList::sort_by_destination");
+  stable_sort_edges(edges_, num_vertices_, &Edge::dst, &Edge::src);
 }
 
 void check_endpoints(std::span<const Edge> es, vid_t bound, Endpoints which,

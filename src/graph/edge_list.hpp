@@ -43,8 +43,9 @@ class EdgeList {
   /// Remove self-loops (in place, stable).  Returns edges removed.
   eid_t remove_self_loops();
 
-  /// Remove duplicate (src,dst) pairs, keeping the first occurrence.
-  /// Sorts the list by (src,dst) as a side effect.  Returns edges removed.
+  /// Remove duplicate (src,dst) pairs, keeping the first occurrence (and
+  /// so its weight) at every thread count.  Sorts the list by (src,dst) as
+  /// a side effect.  Returns edges removed.
   eid_t deduplicate();
 
   /// Make the graph undirected by adding the reverse of every edge (weights
@@ -52,19 +53,21 @@ class EdgeList {
   /// (Orkut, USAroad, Yahoo) are materialised for directed traversal.
   void symmetrize();
 
-  /// Out-degree of every vertex (parallel count).
+  /// Out-degree of every vertex (serial count).
   [[nodiscard]] std::vector<eid_t> out_degrees() const;
 
-  /// In-degree of every vertex (parallel count).
+  /// In-degree of every vertex (serial count).
   [[nodiscard]] std::vector<eid_t> in_degrees() const;
 
   /// Sum over active source vertices used in frontier bookkeeping tests.
   [[nodiscard]] eid_t max_degree() const;
 
-  /// Sort edges by (src, dst) — CSR order.
+  /// Stably sort edges by (src, dst) — CSR order; equal pairs keep their
+  /// input order.  Throws std::out_of_range if an endpoint is
+  /// >= num_vertices().
   void sort_by_source();
 
-  /// Sort edges by (dst, src) — CSC order.
+  /// Stably sort edges by (dst, src) — CSC order; as sort_by_source.
   void sort_by_destination();
 
  private:

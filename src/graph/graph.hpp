@@ -7,10 +7,12 @@
 //      leaves CSC edge order unchanged, §II-C, so the index itself is whole);
 //   3. a partitioned COO     — dense frontiers, aggressively partitioned.
 //
-// The composite also carries two partitionings (edge-balanced and
-// vertex-balanced, §III-D) so the engine can pick the balance criterion
-// matching the algorithm's orientation, the logical NUMA model, and
-// optionally a partitioned pruned CSR for the Fig 5/6 layout studies.
+// Those three layouts are all the graph stores of its edges: the edge list
+// it was built from is not kept.  The composite also carries two
+// partitionings (edge-balanced and vertex-balanced, §III-D) so the engine
+// can pick the balance criterion matching the algorithm's orientation, the
+// logical NUMA model, and optionally a partitioned pruned CSR for the
+// Fig 5/6 layout studies.
 #pragma once
 
 #include <memory>
@@ -83,9 +85,10 @@ class Graph {
   Graph& operator=(const Graph&) = delete;
 
   /// Build every layout from an edge list by running the full GraphBuilder
-  /// pipeline (order → partition → layouts).  The (ordered) edge list is
-  /// retained for analysis passes (replication counts, relayout
-  /// experiments).  Stage-by-stage construction: graph/builder.hpp.
+  /// pipeline (order → partition → layouts).  The graph stores the three
+  /// layouts, not the edge list; analysis passes read the layouts (e.g.
+  /// replication counts walk csr()).  Stage-by-stage construction:
+  /// graph/builder.hpp.
   static Graph build(EdgeList el, BuildOptions opts = {});
 
   [[nodiscard]] vid_t num_vertices() const { return csr_.num_vertices(); }
@@ -126,9 +129,6 @@ class Graph {
   }
 
   [[nodiscard]] const NumaModel& numa() const { return numa_; }
-  /// The retained edge list, in *internal* ID space (ordered by the
-  /// build's VertexOrdering; identical to the input under kOriginal).
-  [[nodiscard]] const EdgeList& edge_list() const { return el_; }
   [[nodiscard]] const BuildOptions& build_options() const { return opts_; }
 
   /// The original↔internal vertex-ID bijection of the build's ordering.
@@ -155,7 +155,6 @@ class Graph {
  private:
   friend class GraphBuilder;
 
-  EdgeList el_;
   BuildOptions opts_;
   VertexRemap remap_;
   Csr csr_;

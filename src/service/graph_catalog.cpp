@@ -10,14 +10,14 @@ namespace {
 
 /// Resident-byte estimate from the graph's public shape.  Deliberately
 /// coarse (the budget is an admission guard, not an allocator): CSR + CSC
-/// offsets per vertex, and per edge the retained edge list, the partitioned
-/// COO copy, and one (vid, weight) pair in each of CSR/CSC; the optional
-/// partitioned-CSR and PCPM-bin layouts add roughly an edge-array each.
+/// offsets per vertex, and per edge the partitioned COO copy and one
+/// (vid, weight) pair in each of CSR/CSC — 28 B with 4-byte IDs and
+/// weights; the optional partitioned-CSR and PCPM-bin layouts add roughly
+/// an edge-array each.
 std::size_t approx_graph_bytes(const graph::Graph& g) {
   const auto nv = static_cast<std::size_t>(g.num_vertices());
   const auto ne = static_cast<std::size_t>(g.num_edges());
-  std::size_t per_edge = sizeof(Edge)                      // edge list
-                         + sizeof(Edge)                    // partitioned COO
+  std::size_t per_edge = sizeof(Edge)                      // partitioned COO
                          + 2 * (sizeof(vid_t) + sizeof(weight_t));  // CSR+CSC
   if (g.has_partitioned_csr()) per_edge += sizeof(vid_t) + sizeof(eid_t);
   if (g.has_pcpm_bins()) per_edge += sizeof(vid_t) + sizeof(weight_t);

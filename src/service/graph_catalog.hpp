@@ -58,7 +58,7 @@ class GraphCatalog {
     [[nodiscard]] const std::string& name() const { return name_; }
     /// Catalog-global monotone version; never reused across reloads.
     [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-    /// Estimated resident bytes (layouts + retained edge list).
+    /// Estimated resident bytes of the layouts (approx_graph_bytes).
     [[nodiscard]] std::size_t bytes() const { return bytes_; }
     /// Per-graph default for source-taking algorithms (original-ID space);
     /// kInvalidVertex for an empty graph.

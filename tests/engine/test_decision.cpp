@@ -86,13 +86,13 @@ TEST(Decision, StatsRecordKernelMix) {
   Engine eng(g);
   auto op = make_symmetric_op([](vid_t, vid_t, weight_t) { return false; },
                               [](vid_t) { return true; });
-  Frontier all = Frontier::all(g.num_vertices(), &g.csr());
+  Frontier all = Frontier::all(g.num_vertices(), g.csr());
   eng.edge_map(all, op);
   // Use a minimum-degree vertex so the single-vertex frontier is sparse.
   vid_t vmin = 0;
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     if (g.out_degree(v) < g.out_degree(vmin)) vmin = v;
-  Frontier one = Frontier::single(g.num_vertices(), vmin, &g.csr());
+  Frontier one = Frontier::single(g.num_vertices(), vmin, g.csr());
   eng.edge_map(one, op);
   const auto& s = eng.stats();
   EXPECT_EQ(s.total_calls(), 2u);

@@ -24,7 +24,7 @@ TEST(Frontier, EmptyFrontier) {
 TEST(Frontier, SingleVertexTracksDegree) {
   const auto el = graph::star(10);  // vertex 0 has out-degree 9
   const Csr out = Csr::build(el, Adjacency::kOut);
-  const Frontier f = Frontier::single(10, 0, &out);
+  const Frontier f = Frontier::single(10, 0, out);
   EXPECT_EQ(f.num_active(), 1u);
   EXPECT_EQ(f.active_out_degree(), 9u);
   EXPECT_EQ(f.traversal_weight(), 10u);
@@ -35,7 +35,7 @@ TEST(Frontier, SingleVertexTracksDegree) {
 TEST(Frontier, AllVerticesWeightIsVPlusE) {
   const auto el = graph::rmat(8, 4, 3);
   const Csr out = Csr::build(el, Adjacency::kOut);
-  const Frontier f = Frontier::all(el.num_vertices(), &out);
+  const Frontier f = Frontier::all(el.num_vertices(), out);
   EXPECT_TRUE(f.is_dense());
   EXPECT_EQ(f.num_active(), el.num_vertices());
   EXPECT_EQ(f.active_out_degree(), el.num_edges());
@@ -47,7 +47,7 @@ TEST(Frontier, SparseToDenseAndBackPreservesContent) {
   engine::TraversalWorkspace ws;
   const auto el = graph::rmat(8, 4, 3);
   const Csr out = Csr::build(el, Adjacency::kOut);
-  Frontier f = Frontier::from_vertices(256, {3, 77, 100, 255}, &out);
+  Frontier f = Frontier::from_vertices(256, {3, 77, 100, 255}, out);
   const eid_t weight = f.traversal_weight();
   f.to_dense(ws);
   EXPECT_TRUE(f.is_dense());
@@ -70,7 +70,7 @@ TEST(Frontier, RecountMatchesManualSum) {
   std::vector<vid_t> verts = {1, 5, 9, 200, 400};
   eid_t want = 0;
   for (vid_t v : verts) want += out.degree(v);
-  Frontier f = Frontier::from_vertices(el.num_vertices(), verts, &out);
+  Frontier f = Frontier::from_vertices(el.num_vertices(), verts, out);
   EXPECT_EQ(f.active_out_degree(), want);
   f.to_dense(ws);
   f.recount(&out);
@@ -105,7 +105,8 @@ TEST(Frontier, ToSparseOnLargeDenseFrontier) {
 
 TEST(Frontier, ForEachVisitsActiveOnly) {
   engine::TraversalWorkspace ws;
-  Frontier f = Frontier::from_vertices(64, {2, 4, 8});
+  const Csr out = Csr::build(graph::star(64), Adjacency::kOut);
+  Frontier f = Frontier::from_vertices(64, {2, 4, 8}, out);
   std::vector<vid_t> got;
   f.for_each([&](vid_t v) { got.push_back(v); });
   EXPECT_EQ(got, (std::vector<vid_t>{2, 4, 8}));
@@ -117,7 +118,8 @@ TEST(Frontier, ForEachVisitsActiveOnly) {
 
 TEST(Frontier, ConversionIsIdempotent) {
   engine::TraversalWorkspace ws;
-  Frontier f = Frontier::from_vertices(64, {1});
+  const Csr out = Csr::build(graph::star(64), Adjacency::kOut);
+  Frontier f = Frontier::from_vertices(64, {1}, out);
   f.to_sparse(ws);  // no-op
   EXPECT_FALSE(f.is_dense());
   f.to_dense(ws);

@@ -84,7 +84,7 @@ TEST_P(KernelAgreement, MatchesSerialOracleOnDenseFrontier) {
 
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier all = Frontier::all(n, &g.csr());
+  Frontier all = Frontier::all(n, g.csr());
   Frontier next = eng.edge_map(all, SumOp{acc.data(), claimed.data()});
 
   EXPECT_EQ(acc, want_acc) << c.name;
@@ -120,7 +120,7 @@ TEST_P(KernelAgreement, MatchesSerialOracleOnPartialFrontier) {
 
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+  Frontier f = Frontier::from_vertices(n, verts, g.csr());
   Frontier next = eng.edge_map(f, SumOp{acc.data(), claimed.data()});
 
   EXPECT_EQ(acc, want_acc) << c.name;
@@ -160,7 +160,7 @@ TEST(SparseKernel, MatchesOracleOnTinyFrontier) {
   Engine eng(g);
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+  Frontier f = Frontier::from_vertices(n, verts, g.csr());
   Frontier next = eng.edge_map(f, SumOp{acc.data(), claimed.data()});
 
   EXPECT_EQ(acc, want_acc);
@@ -200,7 +200,7 @@ TEST(Kernels, CondFiltersDestinations) {
     Options opts;
     opts.layout = layout;
     Engine eng(g, opts);
-    Frontier all = Frontier::all(n, &g.csr());
+    Frontier all = Frontier::all(n, g.csr());
     eng.edge_map(all, op);
     for (vid_t v = 1; v < n; v += 2) ASSERT_EQ(acc[v], 0u);
     std::uint64_t total = 0;
@@ -235,7 +235,7 @@ TEST(Kernels, BackwardCscEarlyExitClaimsOnce) {
   opts.layout = Layout::kBackwardCsc;
   opts.sparse_fraction = 0.0;
   Engine eng(g, opts);
-  Frontier all = Frontier::all(n, &g.csr());
+  Frontier all = Frontier::all(n, g.csr());
   Frontier next = eng.edge_map(all, op);
   // All 63 others claimed exactly once.
   EXPECT_EQ(next.num_active(), n - 1);
@@ -252,7 +252,7 @@ TEST(Kernels, ResultsIdenticalAcrossThreadCounts) {
     std::vector<std::uint64_t> acc(n, 0);
     std::vector<unsigned char> claimed(n, 0);
     Engine eng(g);
-    Frontier all = Frontier::all(n, &g.csr());
+    Frontier all = Frontier::all(n, g.csr());
     eng.edge_map(all, SumOp{acc.data(), claimed.data()});
     return acc;
   };

@@ -35,9 +35,9 @@ TEST(Orientation, EngineSetterUpdatesBalanceAndRouting) {
   eng.set_orientation(Orientation::kVertex);
   EXPECT_EQ(eng.orientation(), Orientation::kVertex);
   EXPECT_EQ(eng.options().orientation, Orientation::kVertex);
-  EXPECT_EQ(eng.options().csc_balance, partition::BalanceMode::kVertices);
+  EXPECT_EQ(&gather_ranges(g, eng.options()), &g.partitioning_vertices());
   eng.set_orientation(Orientation::kEdge);
-  EXPECT_EQ(eng.options().csc_balance, partition::BalanceMode::kEdges);
+  EXPECT_EQ(&gather_ranges(g, eng.options()), &g.partitioning_edges());
 }
 
 TEST(Orientation, VertexOrientedDenseRoundUsesCscKernel) {
@@ -46,7 +46,7 @@ TEST(Orientation, VertexOrientedDenseRoundUsesCscKernel) {
   eng.set_orientation(Orientation::kVertex);
   auto op = make_symmetric_op([](vid_t, vid_t, weight_t) { return false; },
                               [](vid_t) { return true; });
-  Frontier all = Frontier::all(g.num_vertices(), &g.csr());
+  Frontier all = Frontier::all(g.num_vertices(), g.csr());
   eng.edge_map(all, op);
   EXPECT_EQ(
       eng.stats().calls[static_cast<int>(TraversalKind::kBackwardCsc)], 1u);

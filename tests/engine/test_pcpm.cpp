@@ -45,14 +45,16 @@ TEST(Pcpm, BinOffsetsSumToPartitionInDegrees) {
   EXPECT_EQ(bins.num_slots(), g.num_edges());
 
   // Brute-force per-destination-partition in-degrees and the cut from the
-  // (ordered) edge list the bins were built from.
+  // CSR over the same internal IDs the bins were built in.
   std::vector<eid_t> in_deg(np, 0);
   eid_t cut = 0;
-  for (const Edge& e : g.edge_list().edges()) {
-    const part_t sp = parts.partition_of(e.src);
-    const part_t dp = parts.partition_of(e.dst);
-    ++in_deg[dp];
-    if (sp != dp) ++cut;
+  for (vid_t s = 0; s < g.num_vertices(); ++s) {
+    for (const vid_t d : g.csr().neighbors(s)) {
+      const part_t sp = parts.partition_of(s);
+      const part_t dp = parts.partition_of(d);
+      ++in_deg[dp];
+      if (sp != dp) ++cut;
+    }
   }
 
   eid_t total = 0, expect_base = 0;
@@ -191,7 +193,7 @@ TEST(Pcpm, ScatterGatherRoundTripsHandBuiltTwoPartitionGraph) {
     SumSgOp op{acc.data(), claimed.data()};
 
     TraversalWorkspace ws;
-    Frontier f = full ? Frontier::all(n, &g.csr()) : Frontier{};
+    Frontier f = full ? Frontier::all(n, g.csr()) : Frontier{};
     if (!full) {
       Bitmap bm(n);
       bm.set(0);

@@ -62,7 +62,7 @@ TEST(TransposeEdgeMap, DenseMatchesOracle) {
 
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier all = Frontier::all(n, &g.csr());
+  Frontier all = Frontier::all(n, g.csr());
   Frontier next = edge_map_transpose(g, all, SumOp{acc.data(), claimed.data()}, ws);
 
   EXPECT_EQ(acc, want_acc);
@@ -84,7 +84,7 @@ TEST(TransposeEdgeMap, SparseMatchesOracle) {
 
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+  Frontier f = Frontier::from_vertices(n, verts, g.csr());
   Frontier next = edge_map_transpose(g, f, SumOp{acc.data(), claimed.data()}, ws);
 
   EXPECT_EQ(acc, want_acc);
@@ -112,7 +112,7 @@ TEST(TransposeEdgeMap, MediumDensityBackwardGatherMatchesOracle) {
   opts.sparse_fraction = 0.0;
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier f = Frontier::from_vertices(n, verts, &g.csr());
+  Frontier f = Frontier::from_vertices(n, verts, g.csr());
   Frontier next =
       edge_map_transpose(g, f, SumOp{acc.data(), claimed.data()}, ws, opts);
 
@@ -135,7 +135,7 @@ TEST(TransposeEdgeMap, ForcedCooUsesAtomicsAndMatches) {
   opts.layout = Layout::kDenseCoo;
   std::vector<std::uint64_t> acc(n, 0);
   std::vector<unsigned char> claimed(n, 0);
-  Frontier all = Frontier::all(n, &g.csr());
+  Frontier all = Frontier::all(n, g.csr());
   TraversalStats stats;
   edge_map_transpose(g, all, SumOp{acc.data(), claimed.data()}, ws, opts,
                      &stats);
@@ -179,7 +179,7 @@ TEST(TransposeEdgeMap, CancelDuringDenseSweepThrowsInsteadOfPartialFrontier) {
     opts.cancel = token;
     std::vector<std::uint64_t> acc(n, 0);
     std::vector<unsigned char> claimed(n, 0);
-    Frontier all = Frontier::all(n, &g.csr());
+    Frontier all = Frontier::all(n, g.csr());
     TraversalStats stats;
     EXPECT_THROW(
         edge_map_transpose(g, all,

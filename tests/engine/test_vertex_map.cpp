@@ -14,7 +14,8 @@ using graph::Graph;
 
 TEST(VertexMap, FiltersActiveVerticesSparse) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
-  Frontier f = Frontier::from_vertices(g.num_vertices(), {2, 3, 4, 5, 6});
+  Frontier f =
+      Frontier::from_vertices(g.num_vertices(), {2, 3, 4, 5, 6}, g.csr());
   Frontier out = vertex_map(g, f, [](vid_t v) { return v % 2 == 0; });
   EXPECT_EQ(out.num_active(), 3u);
   EXPECT_TRUE(out.contains(2));
@@ -24,7 +25,7 @@ TEST(VertexMap, FiltersActiveVerticesSparse) {
 
 TEST(VertexMap, FiltersActiveVerticesDense) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
-  Frontier f = Frontier::all(g.num_vertices(), &g.csr());
+  Frontier f = Frontier::all(g.num_vertices(), g.csr());
   Frontier out = vertex_map(g, f, [](vid_t v) { return v < 10; });
   EXPECT_EQ(out.num_active(), 10u);
   EXPECT_TRUE(out.is_dense());
@@ -34,7 +35,7 @@ TEST(VertexMap, FiltersActiveVerticesDense) {
 
 TEST(VertexMap, OutputCarriesDegreeStatistics) {
   const Graph g = Graph::build(graph::star(100));
-  Frontier f = Frontier::all(g.num_vertices(), &g.csr());
+  Frontier f = Frontier::all(g.num_vertices(), g.csr());
   Frontier out = vertex_map(g, f, [](vid_t v) { return v == 0; });
   EXPECT_EQ(out.num_active(), 1u);
   EXPECT_EQ(out.active_out_degree(), 99u);  // the hub's degree
@@ -43,7 +44,7 @@ TEST(VertexMap, OutputCarriesDegreeStatistics) {
 TEST(VertexForeach, VisitsEachActiveVertexOnce) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
   const vid_t n = g.num_vertices();
-  Frontier f = Frontier::all(n, &g.csr());
+  Frontier f = Frontier::all(n, g.csr());
   std::vector<std::atomic<int>> hits(n);
   vertex_foreach(f, [&](vid_t v) {
     hits[v].fetch_add(1, std::memory_order_relaxed);
@@ -52,7 +53,8 @@ TEST(VertexForeach, VisitsEachActiveVertexOnce) {
 }
 
 TEST(VertexForeach, SparseVisitsListOnly) {
-  Frontier f = Frontier::from_vertices(1000, {7, 8, 9});
+  const auto out = graph::Csr::build(graph::star(1000), graph::Adjacency::kOut);
+  Frontier f = Frontier::from_vertices(1000, {7, 8, 9}, out);
   std::atomic<int> count{0};
   vertex_foreach(f, [&](vid_t v) {
     EXPECT_GE(v, 7u);
@@ -73,7 +75,7 @@ TEST(VertexForeachAll, CoversAllVertices) {
 TEST(VertexMap, EngineFacadeDelegates) {
   const Graph g = Graph::build(graph::rmat(8, 4, 3));
   Engine eng(g);
-  Frontier f = Frontier::from_vertices(g.num_vertices(), {1, 2});
+  Frontier f = Frontier::from_vertices(g.num_vertices(), {1, 2}, g.csr());
   Frontier out = eng.vertex_map(f, [](vid_t v) { return v == 1; });
   EXPECT_EQ(out.num_active(), 1u);
   int visits = 0;

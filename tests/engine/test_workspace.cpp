@@ -66,7 +66,7 @@ RunResult run_iterations(const Graph& g, const Options& opts,
 
   std::vector<vid_t> seeds;
   for (vid_t v = 0; v < n; v += 7) seeds.push_back(v);
-  Frontier f = Frontier::from_vertices(n, seeds, &g.csr());
+  Frontier f = Frontier::from_vertices(n, seeds, g.csr());
 
   for (int step = 0; step < 3; ++step) {
     TraversalWorkspace fresh;
@@ -203,7 +203,7 @@ TEST(EngineWorkspace, RepeatedRunsIdentical) {
   auto run_once = [&] {
     std::vector<std::uint64_t> acc(n, 0);
     std::vector<unsigned char> claimed(n, 0);
-    Frontier f = Frontier::all(n, &g.csr());
+    Frontier f = Frontier::all(n, g.csr());
     Frontier next = eng.edge_map(f, StepOp{acc.data(), claimed.data()});
     eng.recycle(next);
     return acc;

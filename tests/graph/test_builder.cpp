@@ -45,7 +45,8 @@ TEST(GraphBuilder, OrderingStageProducesConsistentRemapAndLayouts) {
   BuildOptions opts;
   opts.num_partitions = 8;
   opts.ordering = VertexOrdering::kDegreeDesc;
-  const Graph g = Graph::build(EdgeList(el), opts);
+  GraphBuilder b(EdgeList(el), opts);
+  const Graph g = b.build();
 
   ASSERT_FALSE(g.remap().is_identity());
   const auto deg = el.out_degrees();
@@ -58,8 +59,8 @@ TEST(GraphBuilder, OrderingStageProducesConsistentRemapAndLayouts) {
   // Hub sort: internal vertex 0 has the maximum out-degree.
   for (vid_t v = 1; v < g.num_vertices(); ++v)
     ASSERT_GE(g.out_degree(0), g.out_degree(v));
-  // The retained edge list is the ordered one.
-  const auto rdeg = g.edge_list().out_degrees();
+  // The builder's edge list is the ordered one.
+  const auto rdeg = b.edge_list().out_degrees();
   for (vid_t v = 0; v < g.num_vertices(); ++v)
     ASSERT_EQ(rdeg[v], g.out_degree(v));
 }
@@ -169,8 +170,8 @@ TEST(GraphBuilder, RvalueBuildMovesEdgeList) {
   const EdgeList el = rmat(8, 4, 37);
   const eid_t m = el.num_edges();
   Graph g = GraphBuilder(EdgeList(el), {}).build();
-  EXPECT_EQ(g.edge_list().num_edges(), m);
   EXPECT_EQ(g.num_edges(), m);
+  EXPECT_EQ(g.csc().num_edges(), m);
 }
 
 TEST(GraphBuilder, EveryOrderingBuildsAValidComposite) {

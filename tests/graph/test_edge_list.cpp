@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "graph/generators.hpp"
+#include "sys/parallel.hpp"
+#include "sys/rng.hpp"
 
 namespace grind::graph {
 namespace {
@@ -37,6 +42,54 @@ TEST(EdgeList, DeduplicateKeepsOnePerPair) {
   el.add(0, 1, 3.0f);
   EXPECT_EQ(el.deduplicate(), 2u);
   EXPECT_EQ(el.num_edges(), 2u);
+}
+
+TEST(EdgeList, DeduplicateKeepsFirstOccurrenceAtEveryThreadCount) {
+  // Many weighted copies of few pairs: every pair's surviving weight must
+  // be its first occurrence's, whatever the thread count.
+  EdgeList el;
+  el.set_num_vertices(64);
+  Xoshiro256 rng(7);
+  for (int i = 0; i < 50000; ++i)
+    el.add(static_cast<vid_t>(rng.next_below(64)),
+           static_cast<vid_t>(rng.next_below(64)), static_cast<weight_t>(i));
+  std::map<std::pair<vid_t, vid_t>, weight_t> first;  // serial oracle
+  for (const Edge& e : el.edges()) first.try_emplace({e.src, e.dst}, e.weight);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const ThreadCountGuard guard(threads);
+    EdgeList got = el;
+    EXPECT_EQ(got.deduplicate(), el.num_edges() - first.size());
+    ASSERT_EQ(got.num_edges(), first.size());
+    auto want = first.begin();
+    for (const Edge& e : got.edges()) {
+      ASSERT_EQ(std::pair(e.src, e.dst), want->first);
+      ASSERT_EQ(e.weight, want->second) << e.src << " -> " << e.dst;
+      ++want;
+    }
+  }
+}
+
+TEST(EdgeList, SymmetrizedRoadIsThreadCountIndependent) {
+  // Shortcuts can repeat a lattice edge with another weight, so
+  // symmetrize's dedup decides which weight each pair keeps.
+  EdgeList one = road_lattice(100, 100, 0.05, 3);
+  EdgeList four = one;
+  {
+    const ThreadCountGuard guard(1);
+    one.symmetrize();
+  }
+  {
+    const ThreadCountGuard guard(4);
+    four.symmetrize();
+  }
+  ASSERT_EQ(one.num_edges(), four.num_edges());
+  for (eid_t i = 0; i < one.num_edges(); ++i) {
+    ASSERT_EQ(one.edge(i).src, four.edge(i).src);
+    ASSERT_EQ(one.edge(i).dst, four.edge(i).dst);
+    ASSERT_EQ(one.edge(i).weight, four.edge(i).weight) << "edge " << i;
+  }
 }
 
 TEST(EdgeList, SymmetrizeAddsReverseEdges) {

@@ -64,7 +64,7 @@ TEST(Graph, EdgeListRetained) {
   const EdgeList el = rmat(8, 4, 1);
   const eid_t m = el.num_edges();
   const Graph g = Graph::build(EdgeList(el));
-  EXPECT_EQ(g.edge_list().num_edges(), m);
+  EXPECT_EQ(g.num_edges(), m);
 }
 
 TEST(Graph, TinyGraphCapsPartitions) {

@@ -147,7 +147,8 @@ TEST(PartitionerBuilder, ContiguousReproducesDirectPartitioningBitForBit) {
   graph::BuildOptions bopts;
   bopts.num_partitions = 8;
   ASSERT_EQ(bopts.partitioner, kContiguousPartitioner);  // the default
-  const graph::Graph g = graph::Graph::build(EdgeList(el), bopts);
+  graph::GraphBuilder b(EdgeList(el), bopts);
+  const graph::Graph g = b.build();
 
   const Partitioning direct = make_partitioning(el, 8);
   const auto& built = g.partitioning_edges();
@@ -156,12 +157,13 @@ TEST(PartitionerBuilder, ContiguousReproducesDirectPartitioningBitForBit) {
     EXPECT_EQ(built.range(p), direct.range(p)) << "p=" << p;
     EXPECT_EQ(built.edges_in(p), direct.edges_in(p)) << "p=" << p;
   }
-  EXPECT_DOUBLE_EQ(replication_factor(g.edge_list(), built),
+  EXPECT_DOUBLE_EQ(replication_factor(g.csr(), built),
                    replication_factor(el, direct));
   // The assign stage collapsed to the identity: the edge list is untouched.
+  const EdgeList& rel = b.edge_list();
   for (eid_t e = 0; e < el.num_edges(); ++e) {
-    EXPECT_EQ(g.edge_list().edge(e).src, el.edge(e).src);
-    EXPECT_EQ(g.edge_list().edge(e).dst, el.edge(e).dst);
+    EXPECT_EQ(rel.edge(e).src, el.edge(e).src);
+    EXPECT_EQ(rel.edge(e).dst, el.edge(e).dst);
   }
 }
 

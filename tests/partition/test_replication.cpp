@@ -2,21 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 
+#include "graph/builder.hpp"
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 
 namespace grind::partition {
 namespace {
 
+using graph::Adjacency;
+using graph::Csr;
 using graph::EdgeList;
 
-/// Brute-force oracle: distinct (source, partition-of-dst) pairs per vertex.
+/// Brute-force oracle: distinct partitions per vertex over the edges it
+/// groups — (source, partition-of-dst) pairs when partitioning by
+/// destination, (destination, partition-of-src) pairs by source.
 std::vector<part_t> replica_counts_oracle(const EdgeList& el,
                                          const Partitioning& parts) {
+  const bool by_dst = parts.options().by == PartitionBy::kDestination;
   std::vector<std::set<part_t>> sets(el.num_vertices());
-  for (const Edge& e : el.edges())
-    sets[e.src].insert(parts.partition_of(e.dst));
+  for (const Edge& e : el.edges()) {
+    if (by_dst)
+      sets[e.src].insert(parts.partition_of(e.dst));
+    else
+      sets[e.dst].insert(parts.partition_of(e.src));
+  }
   std::vector<part_t> counts(el.num_vertices());
   for (vid_t v = 0; v < el.num_vertices(); ++v)
     counts[v] = static_cast<part_t>(sets[v].size());
@@ -28,7 +41,8 @@ class ReplicationSweep : public ::testing::TestWithParam<part_t> {};
 TEST_P(ReplicationSweep, MatchesBruteForceOracle) {
   const EdgeList el = graph::rmat(9, 8, 55);
   const Partitioning parts = make_partitioning(el, GetParam());
-  EXPECT_EQ(replica_counts(el, parts), replica_counts_oracle(el, parts));
+  EXPECT_EQ(replica_counts(Csr::build(el, Adjacency::kOut), parts),
+            replica_counts_oracle(el, parts));
 }
 
 INSTANTIATE_TEST_SUITE_P(Counts, ReplicationSweep,
@@ -36,6 +50,40 @@ INSTANTIATE_TEST_SUITE_P(Counts, ReplicationSweep,
                          [](const auto& info) {
                            return "p" + std::to_string(info.param);
                          });
+
+TEST(Replication, BySourceCountsOverTheCsc) {
+  const EdgeList el = graph::rmat(9, 8, 55);
+  PartitionOptions opts;
+  opts.by = PartitionBy::kSource;
+  const Partitioning parts = make_partitioning(el, 16, opts);
+  EXPECT_EQ(replica_counts(Csr::build(el, Adjacency::kIn), parts),
+            replica_counts_oracle(el, parts));
+  // The CSR groups by source, the wrong rows for this partitioning.
+  EXPECT_THROW((void)replica_counts(Csr::build(el, Adjacency::kOut), parts),
+               std::invalid_argument);
+}
+
+TEST(Replication, GraphCsrMatchesOracleOverTheInternalEdgeList) {
+  // A built graph keeps no edge list; its CSR and partitioning, both in
+  // internal IDs, must give the counts the builder's ordered list gives —
+  // under the identity assignment and under permuting strategies.
+  const EdgeList el = graph::rmat(9, 8, 33);
+  for (const char* name : {"contiguous", "random", "ldg"}) {
+    SCOPED_TRACE(name);
+    graph::BuildOptions bopts;
+    bopts.num_partitions = 8;
+    bopts.partitioner = name;
+    graph::GraphBuilder b(EdgeList(el), bopts);
+    const graph::Graph g = b.build();
+    const Partitioning& pe = g.partitioning_edges();
+    const std::vector<part_t> want = replica_counts_oracle(b.edge_list(), pe);
+    EXPECT_EQ(replica_counts(g.csr(), pe), want);
+    std::uint64_t total = 0;
+    for (const part_t c : want) total += c;
+    EXPECT_DOUBLE_EQ(replication_factor(g.csr(), pe),
+                     static_cast<double>(total) / g.num_vertices());
+  }
+}
 
 TEST(Replication, GrowsMonotonicallyWithPartitions) {
   const EdgeList el = graph::rmat(11, 12, 5);

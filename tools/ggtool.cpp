@@ -584,7 +584,7 @@ int cmd_run(const std::vector<std::string>& args) {
             << "), edge imbalance " << Table::num(pe.edge_imbalance(), 3)
             << ", vertex imbalance " << Table::num(pe.vertex_imbalance(), 3)
             << ", replication r(p) "
-            << Table::num(partition::replication_factor(g.edge_list(), pe), 3)
+            << Table::num(partition::replication_factor(g.csr(), pe), 3)
             << "\n"
             << algo << " completed in " << Table::num(run_s, 4)
             << " s with " << num_threads() << " threads\n"
