@@ -124,7 +124,7 @@ class ChunkedEngine {
       engine::gather_range(adj, in, op, next, chunks[c], /*prefetch=*/false);
     });
     Frontier out = Frontier::from_bitmap(std::move(next));
-    out.recount(&weigh);
+    out.recount(weigh);
     return out;
   }
 

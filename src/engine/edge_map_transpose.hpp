@@ -62,7 +62,7 @@ Frontier traverse_transpose_coo(const graph::Graph& g, Frontier& f, Op& op,
     }
   });
   Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csc());
+  out.recount(g.csc());
   return out;
 }
 

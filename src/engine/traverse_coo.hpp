@@ -103,7 +103,7 @@ Frontier traverse_coo(const graph::Graph& g, Frontier& f, Op& op,
   if (affinity != nullptr) affinity->merge(counts);
 
   Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csr());
+  out.recount(g.csr());
   return out;
 }
 

@@ -118,7 +118,7 @@ Frontier traverse_csc_backward(const graph::Graph& g, Frontier& f, Op& op,
   }
 
   Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&weigh);
+  out.recount(weigh);
   return out;
 }
 

@@ -105,7 +105,7 @@ Frontier traverse_partitioned_csr(const graph::Graph& g, Frontier& f, Op& op,
   if (affinity != nullptr) affinity->merge(counts);
 
   Frontier out = Frontier::from_bitmap(std::move(next));
-  out.recount(&g.csr());
+  out.recount(g.csr());
   return out;
 }
 

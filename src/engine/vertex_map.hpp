@@ -59,7 +59,7 @@ Frontier vertex_map(const graph::Graph& g, const Frontier& f, Fn&& fn) {
       next.words()[w] = out_word;
     });
     Frontier out = Frontier::from_bitmap(std::move(next));
-    out.recount(&g.csr());
+    out.recount(g.csr());
     return out;
   }
 

@@ -119,9 +119,9 @@ void Frontier::into_workspace(engine::TraversalWorkspace& ws) {
   out_degree_ = 0;
 }
 
-void Frontier::recount(const graph::Csr* out) {
+void Frontier::recount(const graph::Csr& out) {
   num_active_ = static_cast<vid_t>(dense_rep_ ? dense_.count() : sparse_.size());
-  if (out != nullptr) out_degree_ = degree_sum(*out);
+  out_degree_ = degree_sum(out);
 }
 
 eid_t Frontier::degree_sum(const graph::Csr& adj) const {

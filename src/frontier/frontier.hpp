@@ -90,9 +90,9 @@ class Frontier {
     out_degree_ = out_degree;
   }
 
-  /// Recompute |F| and Σ deg⁺ from the representation.  `out` supplies
-  /// out-degrees; pass nullptr to only recount |F|.
-  void recount(const graph::Csr* out);
+  /// Recompute |F| and Σ deg⁺ from the representation, with `out`
+  /// supplying the degrees (the CSR, or the CSC for a transposed sweep).
+  void recount(const graph::Csr& out);
 
   /// Σ over active vertices of their degree in `adj`, without touching the
   /// cached statistics (the transpose weighs a frontier by in-degrees).

@@ -114,10 +114,8 @@ GraphBuilder& GraphBuilder::with_partitioner(std::string name,
 }
 
 GraphBuilder& GraphBuilder::with_coo_order(partition::EdgeOrder o) {
-  if (opts_.coo_order != o) {
-    opts_.coo_order = o;
-    coo_done_ = false;
-  }
+  // No stage is invalidated: layouts() re-sorts the COO's buckets in place.
+  opts_.coo_order = o;
   return *this;
 }
 
@@ -231,12 +229,51 @@ GraphBuilder& GraphBuilder::partition() {
 
 GraphBuilder& GraphBuilder::layouts() {
   partition();
-  if (!index_done_) {
-    csr_ = Csr::build(el_, Adjacency::kOut);
-    csc_ = Csr::build(el_, Adjacency::kIn);
+  // One sort per graph: the CSR rows.  The kSource COO is the CSR's slots
+  // bucketed by home partition, and the CSC, the pruned CSR and the PCPM
+  // bins are read off that COO; only then is the COO re-sorted into a
+  // non-default order.  The CSC comes after the COO, so the COO's
+  // |E|-entry source column is gone before all three layouts exist; a COO
+  // rebuilt beside a kept CSC (after with_partitions()) frees its
+  // predecessor first, so the column takes the old COO's place.
+  const bool new_index = !index_done_;
+  const bool want_pcsr = opts_.build_partitioned_csr && !pcsr_done_;
+  const bool want_pcpm = opts_.build_pcpm_bins && !pcpm_done_;
+  if (new_index) csr_ = Csr::build(el_, Adjacency::kOut);
+  if (new_index || !coo_done_) {
+    coo_ = {};
+    coo_ = partition::PartitionedCoo::build(csr_, part_edges_,
+                                            partition::EdgeOrder::kSource,
+                                            &numa_);
+    coo_done_ = true;
+  }
+  if (new_index || want_pcsr || want_pcpm)
+    coo_.reorder(partition::EdgeOrder::kSource);
+  if (new_index) {
+    csc_ = Csr::from_ordered_edges(coo_.all_edges(), csr_.num_vertices(),
+                                   Adjacency::kIn);
     index_done_ = true;
     index_placed_ = false;
   }
+  if (want_pcsr) {
+    pcsr_ = std::make_unique<partition::PartitionedCsr>(
+        partition::PartitionedCsr::build(coo_, &numa_));
+    pcsr_done_ = true;
+  }
+  if (!opts_.build_partitioned_csr) {
+    pcsr_.reset();
+    pcsr_done_ = false;
+  }
+  if (want_pcpm) {
+    pcpm_ = std::make_unique<partition::PcpmBins>(
+        partition::PcpmBins::build(coo_, part_edges_, &numa_));
+    pcpm_done_ = true;
+  }
+  if (!opts_.build_pcpm_bins) {
+    pcpm_.reset();
+    pcpm_done_ = false;
+  }
+  coo_.reorder(opts_.coo_order);
   if (!index_placed_) {
     // Row slices follow the edge-balanced partitioning: the CSC computation
     // range and the COO buckets both live on it, so its domains are the
@@ -246,31 +283,6 @@ GraphBuilder& GraphBuilder::layouts() {
     place_csr_domains(csr_, part_edges_, numa_);
     place_csr_domains(csc_, part_edges_, numa_);
     index_placed_ = true;
-  }
-  if (!coo_done_) {
-    coo_ = partition::PartitionedCoo::build(el_, part_edges_, opts_.coo_order,
-                                            &numa_);
-    coo_done_ = true;
-  }
-  if (opts_.build_partitioned_csr) {
-    if (!pcsr_done_) {
-      pcsr_ = std::make_unique<partition::PartitionedCsr>(
-          partition::PartitionedCsr::build(el_, part_edges_, &numa_));
-      pcsr_done_ = true;
-    }
-  } else {
-    pcsr_.reset();
-    pcsr_done_ = false;
-  }
-  if (opts_.build_pcpm_bins) {
-    if (!pcpm_done_) {
-      pcpm_ = std::make_unique<partition::PcpmBins>(
-          partition::PcpmBins::build(el_, part_edges_, &numa_));
-      pcpm_done_ = true;
-    }
-  } else {
-    pcpm_.reset();
-    pcpm_done_ = false;
   }
   return *this;
 }

@@ -18,19 +18,20 @@
 //              bit-for-bit (docs/PARTITIONING.md);
 //   partition  resolve the partition count and build both the edge- and
 //              vertex-balanced partitionings over the final ID space;
-//   layouts    build the CSR/CSC indexes, the partitioned COO, and (on
-//              request) the partitioned pruned CSR and PCPM bins.  Each
-//              starts with one parallel, stable edge-bucketing pass
-//              (stable_bucket in sys/parallel.hpp: rows for CSR/CSC, home
-//              partitions for the rest), so every bucket holds its edges
-//              in edge-list order and the per-bucket sorts produce the same
-//              bytes at any thread count (docs/BUILD_PIPELINE.md,
-//              "Layouts (stage 4)").
+//   layouts    sort the edges once, into the CSR rows, and derive the
+//              rest from that order: the partitioned COO is the CSR's
+//              slots bucketed by home partition, the CSC is that COO's
+//              edges bucketed by destination, and (on request) the
+//              partitioned pruned CSR and PCPM bins are read off the COO.
+//              Each bucketing is one parallel, stable pass (stable_bucket
+//              in sys/parallel.hpp), so every layout lists duplicate edges
+//              in edge-list order and has the same bytes at any thread
+//              count (docs/BUILD_PIPELINE.md, "Layouts (stage 4)").
 //
 // Stages run lazily and are memoised; the with_*() setters invalidate
 // exactly the downstream state they affect (changing the COO edge order
-// rebuilds only the COO bucket sort — the ordering, partitionings, and
-// CSR/CSC indexes are reused).  `build() &` copies the cached layouts into
+// only re-sorts the COO's buckets in place — the ordering, partitionings,
+// and CSR/CSC indexes are reused).  `build() &` copies the cached layouts into
 // a Graph and leaves the builder reusable, which is what lets
 // bench_fig7_sort_order sweep vertex orderings × edge orders without
 // rebuilding unrelated stages; `build() &&` moves them out.  The edge list

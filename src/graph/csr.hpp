@@ -10,14 +10,21 @@
 // one *whole-graph* CSC (for medium-dense backward traversal with a
 // partitioned computation range) — partitioning-by-destination does not
 // change CSC edge order (§II-C), so the CSC is deliberately unpartitioned.
+//
+// Every row lists its edges by ascending neighbour, duplicate edges in
+// edge-list order.  build() gets there with one stable bucketing pass and a
+// stable sort per row; from_ordered_edges() takes edges that are already in
+// that order and only buckets them.  GraphBuilder sorts the CSR rows once
+// and derives the partitioned COO from the CSR and the CSC from that COO
+// (docs/BUILD_PIPELINE.md, "Layouts (stage 4)").
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "graph/edge_list.hpp"
 #include "sys/types.hpp"
+#include "sys/uninit_vector.hpp"
 
 namespace grind::graph {
 
@@ -37,9 +44,20 @@ class Csr {
 
   /// Build from an edge list.  With Adjacency::kOut the neighbor arrays are
   /// grouped by source (CSR); with kIn they are grouped by destination (CSC).
-  /// Within a group, neighbors are sorted ascending, matching Fig 1.
+  /// Within a group, neighbors are sorted ascending, matching Fig 1; the
+  /// sort is stable, so duplicate edges keep their edge-list order (and
+  /// with it the order of their weights) at every thread count.
   /// Throws std::out_of_range if an endpoint is >= el.num_vertices().
   static Csr build(const EdgeList& el, Adjacency adj);
+
+  /// Build from edges already listed in the order each row should hold
+  /// them: one stable bucketing pass by the row endpoint, no sort, so every
+  /// row keeps the order of `es`.  Over a sequence ordered by the stored
+  /// endpoint within each row — such as the EdgeOrder::kSource partitioned
+  /// COO, for adj == kIn — this gives the same arrays as build().
+  /// Throws std::out_of_range if an endpoint is >= n.
+  static Csr from_ordered_edges(std::span<const Edge> es, vid_t n,
+                                Adjacency adj);
 
   [[nodiscard]] vid_t num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<vid_t>(offsets_.size() - 1);
@@ -76,10 +94,13 @@ class Csr {
   }
 
  private:
+  /// The bucketing pass of both builders, endpoints already checked.
+  static Csr bucket(std::span<const Edge> es, vid_t n, Adjacency adj);
+
   Adjacency adj_ = Adjacency::kOut;
-  std::vector<eid_t> offsets_;    // |V|+1
-  std::vector<vid_t> neighbors_;  // |E|
-  std::vector<weight_t> weights_; // |E|, aligned with neighbors_
+  UninitVector<eid_t> offsets_;    // |V|+1
+  UninitVector<vid_t> neighbors_;  // |E|
+  UninitVector<weight_t> weights_; // |E|, aligned with neighbors_
 };
 
 }  // namespace grind::graph

@@ -37,6 +37,17 @@ void stable_sort_edges(std::vector<Edge>& edges, vid_t n,
   edges = std::move(sorted);
 }
 
+/// How many edges have each vertex as their `end` endpoint (parallel_count:
+/// the same counts at every thread count).
+std::vector<eid_t> count_endpoints(const std::vector<Edge>& edges, vid_t n,
+                                   const vid_t Edge::*end) {
+  std::vector<eid_t> deg(n);
+  parallel_count(
+      edges.size(), n, [&](std::size_t i) { return edges[i].*end; },
+      deg.data());
+  return deg;
+}
+
 }  // namespace
 
 void EdgeList::add(vid_t src, vid_t dst, weight_t w) {
@@ -73,15 +84,11 @@ void EdgeList::symmetrize() {
 }
 
 std::vector<eid_t> EdgeList::out_degrees() const {
-  std::vector<eid_t> deg(num_vertices_, 0);
-  for (const Edge& e : edges_) ++deg[e.src];
-  return deg;
+  return count_endpoints(edges_, num_vertices_, &Edge::src);
 }
 
 std::vector<eid_t> EdgeList::in_degrees() const {
-  std::vector<eid_t> deg(num_vertices_, 0);
-  for (const Edge& e : edges_) ++deg[e.dst];
-  return deg;
+  return count_endpoints(edges_, num_vertices_, &Edge::dst);
 }
 
 eid_t EdgeList::max_degree() const {

@@ -53,10 +53,11 @@ class EdgeList {
   /// (Orkut, USAroad, Yahoo) are materialised for directed traversal.
   void symmetrize();
 
-  /// Out-degree of every vertex (serial count).
+  /// Out-degree of every vertex (parallel count; the same at every thread
+  /// count).  Endpoints must be < num_vertices().
   [[nodiscard]] std::vector<eid_t> out_degrees() const;
 
-  /// In-degree of every vertex (serial count).
+  /// In-degree of every vertex (parallel count, as out_degrees()).
   [[nodiscard]] std::vector<eid_t> in_degrees() const;
 
   /// Sum over active source vertices used in frontier bookkeeping tests.

@@ -7,6 +7,12 @@
 // along a Hilbert space-filling curve (§IV-C) — the order is a build-time
 // knob benchmarked in bench_fig7_sort_order.
 //
+// The COO is derived from the sorted CSR, not sorted itself: one stable
+// bucketing pass over the CSR's slots leaves every bucket in CSR order,
+// which is EdgeOrder::kSource.  The other orders stably re-sort each bucket
+// in place.  Every order is total on distinct (src, dst) pairs, so the only
+// ties are duplicate edges, and they stay in edge-list order throughout.
+//
 // Storage is 2|E|·bv (+ weights) regardless of the number of partitions
 // (§II-E), and traversal work is exactly one visit per edge regardless of
 // vertex replication (§II-F).
@@ -15,10 +21,12 @@
 #include <span>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
 #include "partition/partitioner.hpp"
 #include "sys/numa.hpp"
 #include "sys/types.hpp"
+#include "sys/uninit_vector.hpp"
 
 namespace grind::partition {
 
@@ -47,23 +55,38 @@ class PartitionedCoo {
  public:
   PartitionedCoo() = default;
 
-  /// Bucket `el`'s edges by `parts` (home of each edge's destination for
-  /// PartitionBy::kDestination) and sort each bucket in `order`.  With a
-  /// NumaModel, each partition's slice of the (contiguous, partition-major)
-  /// edge array is routed through the arena of its owning domain
-  /// (sys/arena.hpp: mbind under GRIND_NUMA, accounting otherwise).
-  /// Throws std::out_of_range if an edge's homing endpoint lies outside
-  /// [0, parts.num_vertices()).
+  /// Bucket the slots of the out-adjacency `csr` by `parts` (home of each
+  /// edge's destination for PartitionBy::kDestination, of its source for
+  /// kSource) with one stable pass, which leaves each bucket in
+  /// EdgeOrder::kSource, then reorder() into `order`.  With a NumaModel,
+  /// each partition's slice of the (contiguous, partition-major) edge array
+  /// is routed through the arena of its owning domain (sys/arena.hpp: mbind
+  /// under GRIND_NUMA, accounting otherwise).  Throws std::invalid_argument
+  /// unless `csr` is a kOut adjacency over parts.num_vertices() vertices.
+  static PartitionedCoo build(const graph::Csr& csr, const Partitioning& parts,
+                              EdgeOrder order = EdgeOrder::kSource,
+                              const NumaModel* numa = nullptr);
+
+  /// build() over Csr::build(el, kOut).  Throws std::out_of_range if an
+  /// endpoint is >= el.num_vertices().
   static PartitionedCoo build(const graph::EdgeList& el,
                               const Partitioning& parts,
                               EdgeOrder order = EdgeOrder::kSource,
                               const NumaModel* numa = nullptr);
 
+  /// Stably re-sort every bucket into `order`, in place and in parallel
+  /// across partitions; a no-op if the COO is already in it.  Any order can
+  /// be reached from any other: duplicates keep their edge-list order.
+  void reorder(EdgeOrder order);
+
   [[nodiscard]] part_t num_partitions() const {
     return offsets_.empty() ? 0 : static_cast<part_t>(offsets_.size() - 1);
   }
   [[nodiscard]] eid_t num_edges() const { return edges_.size(); }
+  [[nodiscard]] vid_t num_vertices() const { return num_vertices_; }
   [[nodiscard]] EdgeOrder order() const { return order_; }
+  /// The endpoint whose home partition holds each edge.
+  [[nodiscard]] PartitionBy partitioned_by() const { return by_; }
 
   /// Edges of partition p.
   [[nodiscard]] std::span<const Edge> edges(part_t p) const {
@@ -96,8 +119,10 @@ class PartitionedCoo {
 
  private:
   EdgeOrder order_ = EdgeOrder::kSource;
+  PartitionBy by_ = PartitionBy::kDestination;
+  vid_t num_vertices_ = 0;
   std::vector<eid_t> offsets_;    // P+1
-  std::vector<Edge> edges_;       // |E|, partition-major
+  UninitVector<Edge> edges_;      // |E|, partition-major
   std::vector<CooChunk> chunks_;  // cached atomics-mode work list
 };
 

@@ -1,38 +1,27 @@
 #include "partition/partitioned_csr.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "sys/parallel.hpp"
 
 namespace grind::partition {
 
-PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
-                                     const Partitioning& parts,
+PartitionedCsr PartitionedCsr::build(const PartitionedCoo& coo,
                                      const NumaModel* numa) {
+  const bool by_dst = coo.partitioned_by() == PartitionBy::kDestination;
+  if (coo.order() != group_order(coo.partitioned_by()))
+    throw std::invalid_argument(
+        "PartitionedCsr::build: the COO must be grouped by the row endpoint");
   PartitionedCsr pc;
-  const part_t np = parts.num_partitions();
+  const part_t np = coo.num_partitions();
   pc.parts_.resize(np);
-  const auto es = el.edges();
-  const bool by_dst = parts.options().by == PartitionBy::kDestination;
-
-  graph::check_endpoints(
-      es, parts.num_vertices(),
-      by_dst ? graph::Endpoints::kDestination : graph::Endpoints::kSource,
-      "PartitionedCsr::build");
-
-  // Bucket edge indices per partition (the same stable pass as
-  // PartitionedCoo: each bucket lists its edges in edge-list order).
-  const std::vector<part_t> home = parts.home_table();
-  std::vector<eid_t> offsets(static_cast<std::size_t>(np) + 1);
-  std::vector<eid_t> order(es.size());
-  stable_bucket(
-      es.size(), np,
-      [&](std::size_t i) { return home[by_dst ? es[i].dst : es[i].src]; },
-      offsets.data(), [&](eid_t slot, std::size_t i) { order[slot] = i; });
 
   // Compress each bucket into a pruned CSR, in parallel across partitions.
-  parallel_for_dynamic_scratch<std::vector<Edge>>(
-      0, np, [&](std::size_t p, std::vector<Edge>& bucket) {
+  // The bucket is already ordered by (group key, target), where the group
+  // key is the source (by-destination partitioning) or destination
+  // (by-source).
+  parallel_for_dynamic(0, np, [&](std::size_t p) {
     PrunedCsrPart& part = pc.parts_[p];
     // Allocate this partition's arrays through its owning domain's arena
     // (the §II-E replication buffers live where their traversing threads
@@ -40,30 +29,18 @@ PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
     if (numa != nullptr)
       part.set_domain(
           numa->domain_of_partition(static_cast<part_t>(p), np));
-    const eid_t lo = offsets[p], hi = offsets[p + 1];
-    const eid_t m = hi - lo;
-    // Sort the bucket by (group key, target) where the group key is the
-    // source (by-destination partitioning) or destination (by-source).
-    bucket.resize(m);
-    for (eid_t i = 0; i < m; ++i) bucket[i] = es[order[lo + i]];
-    auto group_of = [by_dst](const Edge& e) { return by_dst ? e.src : e.dst; };
-    auto target_of = [by_dst](const Edge& e) { return by_dst ? e.dst : e.src; };
-    std::sort(bucket.begin(), bucket.end(),
-              [&](const Edge& a, const Edge& b) {
-                return group_of(a) != group_of(b)
-                           ? group_of(a) < group_of(b)
-                           : target_of(a) < target_of(b);
-              });
-
+    const auto bucket = coo.edges(static_cast<part_t>(p));
+    const eid_t m = bucket.size();
     part.targets.resize(m);
     part.weights.resize(m);
     for (eid_t i = 0; i < m; ++i) {
       const Edge& e = bucket[i];
-      if (part.vertex_ids.empty() || part.vertex_ids.back() != group_of(e)) {
-        part.vertex_ids.push_back(group_of(e));
+      const vid_t group = by_dst ? e.src : e.dst;
+      if (part.vertex_ids.empty() || part.vertex_ids.back() != group) {
+        part.vertex_ids.push_back(group);
         part.offsets.push_back(i);
       }
-      part.targets[i] = target_of(e);
+      part.targets[i] = by_dst ? e.dst : e.src;
       part.weights[i] = e.weight;
     }
     part.offsets.push_back(m);
@@ -77,6 +54,14 @@ PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
   }
 
   return pc;
+}
+
+PartitionedCsr PartitionedCsr::build(const graph::EdgeList& el,
+                                     const Partitioning& parts,
+                                     const NumaModel* numa) {
+  return build(
+      PartitionedCoo::build(el, parts, group_order(parts.options().by)),
+      numa);
 }
 
 std::size_t PartitionedCsr::total_vertex_replicas() const {

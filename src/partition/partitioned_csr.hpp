@@ -8,12 +8,19 @@
 // keeps only sources with ≥1 edge in the partition and stores their vertex
 // IDs in a sidecar array, §II-E: "We store the vertex ID along with the
 // vertex data in order to save space for zero-degree vertices").
+//
+// It is read off the partitioned COO with no sort of its own: under
+// partitioning-by-destination a kSource COO bucket is already grouped by
+// source and ordered by destination within each group, which is exactly
+// the pruned CSR's edge order (a kDestination bucket is, symmetrically,
+// under partitioning-by-source).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "graph/edge_list.hpp"
+#include "partition/partitioned_coo.hpp"
 #include "partition/partitioner.hpp"
 #include "sys/arena.hpp"
 #include "sys/numa.hpp"
@@ -69,18 +76,31 @@ class PartitionedCsr {
  public:
   PartitionedCsr() = default;
 
-  /// Build from an edge list and a partitioning (by destination: group
-  /// partition p's in-edges by source; by source: group p's out-edges by
-  /// destination — the symmetric construction).  With a NumaModel, each
-  /// partition's arrays — including the replicated-vertex sidecar, the
-  /// per-partition replication buffer of §II-E — are *allocated* through
-  /// the ArenaAllocator of NumaModel::domain_of_partition, so the pages
-  /// are first-touch-faulted on (and, under GRIND_NUMA, bound to) the
-  /// owning domain from the start.  Throws std::out_of_range if an edge's
-  /// homing endpoint lies outside [0, parts.num_vertices()).
+  /// Compress each bucket of `coo` into a pruned CSR (by destination:
+  /// group partition p's in-edges by source; by source: group p's
+  /// out-edges by destination — the symmetric construction).  `coo` must
+  /// be in its group-major order, group_order(coo.partitioned_by()), or
+  /// std::invalid_argument is thrown.  With a NumaModel, each partition's
+  /// arrays — including the replicated-vertex sidecar, the per-partition
+  /// replication buffer of §II-E — are *allocated* through the
+  /// ArenaAllocator of NumaModel::domain_of_partition, so the pages are
+  /// first-touch-faulted on (and, under GRIND_NUMA, bound to) the owning
+  /// domain from the start.
+  static PartitionedCsr build(const PartitionedCoo& coo,
+                              const NumaModel* numa = nullptr);
+
+  /// build() over PartitionedCoo::build(el, parts, group_order(...)).
+  /// Throws std::out_of_range if an endpoint is >= el.num_vertices().
   static PartitionedCsr build(const graph::EdgeList& el,
                               const Partitioning& parts,
                               const NumaModel* numa = nullptr);
+
+  /// The COO order whose buckets are grouped by the pruned CSR's row
+  /// endpoint: kSource under partitioning-by-destination, else kDestination.
+  [[nodiscard]] static EdgeOrder group_order(PartitionBy by) {
+    return by == PartitionBy::kDestination ? EdgeOrder::kSource
+                                           : EdgeOrder::kDestination;
+  }
 
   [[nodiscard]] part_t num_partitions() const {
     return static_cast<part_t>(parts_.size());

@@ -1,55 +1,60 @@
 #include "partition/pcpm_bins.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "sys/parallel.hpp"
 
 namespace grind::partition {
 
-PcpmBins PcpmBins::build(const graph::EdgeList& el, const Partitioning& parts,
+namespace {
+
+/// `parts`' ranges homed by destination, the homing the bins always use.
+/// The edge counts are recounted to match (edges with an out-of-range
+/// destination are skipped; the COO build that follows rejects them).
+Partitioning homed_by_destination(const graph::EdgeList& el,
+                                  const Partitioning& parts) {
+  PartitionOptions opts = parts.options();
+  if (opts.by == PartitionBy::kDestination) return parts;
+  opts.by = PartitionBy::kDestination;
+  const std::vector<part_t> home = parts.home_table();
+  std::vector<eid_t> counts(parts.num_partitions(), 0);
+  for (const Edge& e : el.edges())
+    if (e.dst < home.size()) ++counts[home[e.dst]];
+  return Partitioning(parts.ranges(), std::move(counts), opts);
+}
+
+}  // namespace
+
+PcpmBins PcpmBins::build(const PartitionedCoo& coo, const Partitioning& parts,
                          const NumaModel* numa) {
+  if (coo.order() != EdgeOrder::kSource ||
+      coo.partitioned_by() != PartitionBy::kDestination ||
+      coo.num_partitions() != parts.num_partitions() ||
+      coo.num_vertices() != parts.num_vertices())
+    throw std::invalid_argument(
+        "PcpmBins::build: needs the kSource COO partitioned by destination "
+        "over the same partitions");
   PcpmBins bins;
   const part_t np = parts.num_partitions();
   bins.parts_.resize(np);
-  const auto es = el.edges();
-  bins.total_slots_ = es.size();
-
-  // The bins need the home of both endpoints: the destination's picks the
-  // partition, the source's the bin.
-  graph::check_endpoints(es, parts.num_vertices(), graph::Endpoints::kBoth,
-                         "PcpmBins::build");
+  bins.total_slots_ = coo.num_edges();
   const std::vector<part_t> home = parts.home_table();
 
-  // Bucket edge indices by destination partition (always by destination —
-  // the gather owns destinations, which is what elides the atomics), with
-  // the stable pass of PartitionedCoo.
-  std::vector<eid_t> offsets(static_cast<std::size_t>(np) + 1);
-  std::vector<eid_t> order(es.size());
-  stable_bucket(
-      es.size(), np, [&](std::size_t i) { return home[es[i].dst]; },
-      offsets.data(), [&](eid_t slot, std::size_t i) { order[slot] = i; });
-
-  // Fill each destination partition's bins, in parallel across partitions.
-  parallel_for_dynamic_scratch<std::vector<Edge>>(
-      0, np, [&](std::size_t dp, std::vector<Edge>& bucket) {
+  // Fill each destination partition's bins from its COO bucket, in
+  // parallel across partitions.
+  parallel_for_dynamic(0, np, [&](std::size_t dp) {
     PcpmPartBins& part = bins.parts_[static_cast<part_t>(dp)];
     // Consumer-domain placement: the gather for dp runs on dp's domain and
     // these are the arrays it walks.
     if (numa != nullptr)
       part.set_domain(
           numa->domain_of_partition(static_cast<part_t>(dp), np));
-    const eid_t lo = offsets[dp], hi = offsets[dp + 1];
-    const eid_t m = hi - lo;
-    part.slot_base = lo;
-
-    // Sort dp's in-edges by (src, dst) — PartitionedCoo::EdgeOrder::kSource.
-    // Contiguous ascending partition ranges make this grouped by source
-    // partition as a side effect, which is the bin boundary structure.
-    bucket.resize(m);
-    for (eid_t i = 0; i < m; ++i) bucket[i] = es[order[lo + i]];
-    std::sort(bucket.begin(), bucket.end(), [](const Edge& a, const Edge& b) {
-      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-    });
+    const auto bucket = coo.edges(static_cast<part_t>(dp));
+    const eid_t m = bucket.size();
+    part.slot_base = coo.offsets()[dp];
 
     part.src.resize(m);
     part.dst.resize(m);
@@ -69,6 +74,12 @@ PcpmBins PcpmBins::build(const graph::EdgeList& el, const Partitioning& parts,
   });
 
   return bins;
+}
+
+PcpmBins PcpmBins::build(const graph::EdgeList& el, const Partitioning& parts,
+                         const NumaModel* numa) {
+  return build(PartitionedCoo::build(el, homed_by_destination(el, parts)),
+               parts, numa);
 }
 
 eid_t PcpmBins::cut_slots() const {

@@ -9,14 +9,16 @@
 // partitions and reduces their inbound bins with no atomics (destination
 // partitions are disjoint, so each accumulator has a single writer).
 //
-// Slot order is the bit-identity contract with the dense COO kernel: within
-// partition dp the slots are sorted by (src, dst) — exactly
-// PartitionedCoo's EdgeOrder::kSource — and because partitions are
-// contiguous ascending vertex ranges, that global sort is automatically
-// grouped by source partition.  A gather that walks sp = 0..P-1 and each
-// bin's slots in order therefore reduces dp's in-edges in the *same order*
-// as the non-atomic COO sweep, giving bitwise-identical floating-point
-// accumulation.
+// Slot order is the bit-identity contract with the dense COO kernel: the
+// bins are read off the EdgeOrder::kSource COO partitioned by destination,
+// so within partition dp the slots are its COO bucket — sorted by
+// (src, dst), duplicates in edge-list order — and because partitions are
+// contiguous ascending vertex ranges, that order is automatically grouped
+// by source partition.  A gather that walks sp = 0..P-1 and each bin's
+// slots in order therefore reduces dp's in-edges in the *same order* as the
+// non-atomic COO sweep, giving bitwise-identical floating-point
+// accumulation.  Building the bins is one copy of the COO's columns plus a
+// count per bin; nothing is bucketed or sorted again.
 //
 // Like the pruned CSR (partitioned_csr.hpp), each partition's arrays are
 // DomainVectors allocated through the *consumer* partition's NUMA arena:
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "graph/edge_list.hpp"
+#include "partition/partitioned_coo.hpp"
 #include "partition/partitioner.hpp"
 #include "sys/arena.hpp"
 #include "sys/numa.hpp"
@@ -74,10 +77,17 @@ class PcpmBins {
  public:
   PcpmBins() = default;
 
-  /// Build from an edge list and a partitioning.  With a NumaModel each
-  /// partition's arrays are allocated through the arena of
-  /// NumaModel::domain_of_partition(dp) — the consumer's domain.  Throws
-  /// std::out_of_range if an endpoint lies outside [0, parts.num_vertices()).
+  /// Build from the EdgeOrder::kSource COO partitioned by destination over
+  /// `parts`' ranges (std::invalid_argument otherwise); `parts` homes each
+  /// slot's source to its bin.  With a NumaModel each partition's arrays
+  /// are allocated through the arena of NumaModel::domain_of_partition(dp)
+  /// — the consumer's domain.
+  static PcpmBins build(const PartitionedCoo& coo, const Partitioning& parts,
+                        const NumaModel* numa = nullptr);
+
+  /// build() over the kSource COO of `el`, bucketed by destination over
+  /// `parts`' ranges whatever endpoint `parts` homes edges by.  Throws
+  /// std::out_of_range if an endpoint is >= el.num_vertices().
   static PcpmBins build(const graph::EdgeList& el, const Partitioning& parts,
                         const NumaModel* numa = nullptr);
 

@@ -59,7 +59,7 @@ TEST(Frontier, SparseToDenseAndBackPreservesContent) {
   const auto verts = f.vertices();
   EXPECT_EQ(std::vector<vid_t>(verts.begin(), verts.end()),
             (std::vector<vid_t>{3, 77, 100, 255}));
-  f.recount(&out);
+  f.recount(out);
   EXPECT_EQ(f.traversal_weight(), weight);
 }
 
@@ -73,7 +73,7 @@ TEST(Frontier, RecountMatchesManualSum) {
   Frontier f = Frontier::from_vertices(el.num_vertices(), verts, out);
   EXPECT_EQ(f.active_out_degree(), want);
   f.to_dense(ws);
-  f.recount(&out);
+  f.recount(out);
   EXPECT_EQ(f.active_out_degree(), want);
   EXPECT_EQ(f.num_active(), 5u);
 }

@@ -199,7 +199,7 @@ TEST(Pcpm, ScatterGatherRoundTripsHandBuiltTwoPartitionGraph) {
       bm.set(0);
       bm.set(9);
       f = Frontier::from_bitmap(std::move(bm));
-      f.recount(&g.csr());
+      f.recount(g.csr());
     }
 
     eid_t edges = 0;

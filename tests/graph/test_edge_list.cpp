@@ -129,6 +129,23 @@ TEST(EdgeList, DegreesMatchManualCount) {
   EXPECT_EQ(el.max_degree(), 2u);
 }
 
+TEST(EdgeList, DegreesAreTheSerialCountAtEveryThreadCount) {
+  // Dense enough (32 edges per vertex) that 4 threads take the parallel
+  // per-thread-histogram path; the counts must be the serial ones.
+  const EdgeList el = graph::rmat(10, 32, 7);
+  std::vector<eid_t> want_out(el.num_vertices(), 0);
+  std::vector<eid_t> want_in(el.num_vertices(), 0);
+  for (const Edge& e : el.edges()) {
+    ++want_out[e.src];
+    ++want_in[e.dst];
+  }
+  for (const int t : {1, 2, 3, 4}) {
+    ThreadCountGuard guard(t);
+    EXPECT_EQ(el.out_degrees(), want_out) << "threads=" << t;
+    EXPECT_EQ(el.in_degrees(), want_in) << "threads=" << t;
+  }
+}
+
 TEST(EdgeList, SortOrders) {
   EdgeList el;
   el.add(2, 0);

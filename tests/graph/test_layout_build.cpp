@@ -1,13 +1,13 @@
-// The parallel layout builders against the serial builders they replaced.
+// The parallel layout builders against serial oracles.
 //
-// Csr::build, PartitionedCoo::build, PartitionedCsr::build and
-// PcpmBins::build bucket their edges with the parallel stable_bucket pass
-// (sys/parallel.hpp).  Their contract is byte identity with the serial
-// count-and-scatter builders: every bucket receives its edges in edge-list
-// order, so every per-bucket std::sort sees the same input and writes the
-// same bytes, at any thread count — duplicates of different weights
-// included.  The serial builders live on below as oracles, and every case
-// runs at 1 and at 4 threads.
+// Csr::build sorts each row once, stably; PartitionedCoo::build buckets the
+// CSR's slots with the parallel stable_bucket pass (sys/parallel.hpp), and
+// PartitionedCsr::build and PcpmBins::build read the COO's buckets.  Their
+// contract is byte identity with serial count-and-scatter builders that
+// bucket the edge list and std::stable_sort each bucket: every layout
+// orders by (row, other endpoint) with duplicates of different weights in
+// edge-list order, at any thread count.  The serial builders live on below
+// as oracles, and every case runs at 1 and at 4 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -51,7 +52,7 @@ struct CsrArrays {
 };
 
 /// The serial Csr::build: count, prefix-sum, scatter with per-row cursors,
-/// then sort each row through a pair buffer.
+/// then stably sort each row through a pair buffer.
 CsrArrays oracle_csr(const EdgeList& el, Adjacency adj) {
   const vid_t n = el.num_vertices();
   const auto es = el.edges();
@@ -75,7 +76,7 @@ CsrArrays oracle_csr(const EdgeList& el, Adjacency adj) {
     std::vector<std::pair<vid_t, weight_t>> tmp(deg);
     for (eid_t i = 0; i < deg; ++i)
       tmp[i] = {g.neighbors[lo + i], g.weights[lo + i]};
-    std::sort(tmp.begin(), tmp.end(),
+    std::stable_sort(tmp.begin(), tmp.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (eid_t i = 0; i < deg; ++i) {
       g.neighbors[lo + i] = tmp[i].first;
@@ -125,17 +126,17 @@ CooArrays oracle_coo(const EdgeList& el, const Partitioning& parts,
     Edge* hi = coo.edges.data() + offsets[p + 1];
     switch (order) {
       case EdgeOrder::kSource:
-        std::sort(lo, hi, [](const Edge& a, const Edge& b) {
+        std::stable_sort(lo, hi, [](const Edge& a, const Edge& b) {
           return a.src != b.src ? a.src < b.src : a.dst < b.dst;
         });
         break;
       case EdgeOrder::kDestination:
-        std::sort(lo, hi, [](const Edge& a, const Edge& b) {
+        std::stable_sort(lo, hi, [](const Edge& a, const Edge& b) {
           return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
         });
         break;
       case EdgeOrder::kHilbert:
-        std::sort(lo, hi, [horder](const Edge& a, const Edge& b) {
+        std::stable_sort(lo, hi, [horder](const Edge& a, const Edge& b) {
           return partition::hilbert_edge_key(horder, a) <
                  partition::hilbert_edge_key(horder, b);
         });
@@ -165,10 +166,12 @@ std::vector<PcsrPartArrays> oracle_pcsr(const EdgeList& el,
     std::vector<Edge> bucket;
     for (eid_t s = offsets[p]; s < offsets[p + 1]; ++s)
       bucket.push_back(es[idx[s]]);
-    std::sort(bucket.begin(), bucket.end(), [&](const Edge& a, const Edge& b) {
-      return group_of(a) != group_of(b) ? group_of(a) < group_of(b)
-                                        : target_of(a) < target_of(b);
-    });
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [&](const Edge& a, const Edge& b) {
+                       return group_of(a) != group_of(b)
+                                  ? group_of(a) < group_of(b)
+                                  : target_of(a) < target_of(b);
+                     });
     PcsrPartArrays& part = out[p];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const Edge& e = bucket[i];
@@ -203,9 +206,10 @@ std::vector<PcpmPartArrays> oracle_pcpm(const EdgeList& el,
     std::vector<Edge> bucket;
     for (eid_t s = offsets[dp]; s < offsets[dp + 1]; ++s)
       bucket.push_back(es[idx[s]]);
-    std::sort(bucket.begin(), bucket.end(), [](const Edge& a, const Edge& b) {
-      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-    });
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [](const Edge& a, const Edge& b) {
+                       return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+                     });
     PcpmPartArrays& part = out[dp];
     part.slot_base = offsets[dp];
     for (const Edge& e : bucket) {
@@ -457,6 +461,158 @@ TEST(LayoutBuild, PcpmBinsMatchTheSerialBuilder) {
       }
     }
   }
+}
+
+/// Whether every run of equal (a, b) keys among consecutive entries of a
+/// layout carries ascending weights: the duplicates' edge-list order, when
+/// each weight is its edge's index in the list.
+template <typename KeyA, typename KeyB, typename Weight>
+bool duplicates_in_list_order(std::size_t n, KeyA key_a, KeyB key_b,
+                              Weight weight) {
+  for (std::size_t i = 1; i < n; ++i)
+    if (key_a(i - 1) == key_a(i) && key_b(i - 1) == key_b(i) &&
+        !(weight(i - 1) < weight(i)))
+      return false;
+  return true;
+}
+
+bool csr_in_list_order(const graph::Csr& g) {
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    const auto nb = g.neighbors(v);
+    const auto w = g.weights(v);
+    if (!duplicates_in_list_order(
+            nb.size(), [](std::size_t) { return 0; },
+            [&](std::size_t i) { return nb[i]; },
+            [&](std::size_t i) { return w[i]; }))
+      return false;
+  }
+  return true;
+}
+
+bool coo_in_list_order(const partition::PartitionedCoo& coo) {
+  for (part_t p = 0; p < coo.num_partitions(); ++p) {
+    const auto es = coo.edges(p);
+    if (!duplicates_in_list_order(
+            es.size(), [&](std::size_t i) { return es[i].src; },
+            [&](std::size_t i) { return es[i].dst; },
+            [&](std::size_t i) { return es[i].weight; }))
+      return false;
+  }
+  return true;
+}
+
+bool pcsr_in_list_order(const partition::PartitionedCsr& pc) {
+  for (part_t p = 0; p < pc.num_partitions(); ++p) {
+    const auto& part = pc.part(p);
+    for (vid_t l = 0; l < part.num_local_vertices(); ++l) {
+      const eid_t lo = part.offsets[l];
+      if (!duplicates_in_list_order(
+              part.offsets[l + 1] - lo, [](std::size_t) { return 0; },
+              [&](std::size_t i) { return part.targets[lo + i]; },
+              [&](std::size_t i) { return part.weights[lo + i]; }))
+        return false;
+    }
+  }
+  return true;
+}
+
+bool pcpm_in_list_order(const partition::PcpmBins& bins) {
+  for (part_t p = 0; p < bins.num_partitions(); ++p) {
+    const auto& part = bins.part(p);
+    if (!duplicates_in_list_order(
+            part.num_slots(), [&](std::size_t i) { return part.src[i]; },
+            [&](std::size_t i) { return part.dst[i]; },
+            [&](std::size_t i) { return part.weights[i]; }))
+      return false;
+  }
+  return true;
+}
+
+TEST(LayoutBuild, DuplicatesListTheirWeightsInEdgeListOrder) {
+  // A multigraph whose every weight is its edge's index in the list:
+  // R-MAT without deduplication (long hub rows full of duplicates) plus
+  // one vertex with 400 edges onto 7 destinations, listed out of order.
+  // Every layout must list a duplicate pair's weights ascending — the
+  // order of the edge list — under every partitioning axis and COO order,
+  // through the layouts' own builders and through the GraphBuilder, whose
+  // CSC and pruned CSR and PCPM bins are derived from its COO.
+  graph::RmatParams params;
+  params.deduplicate = false;
+  EdgeList el = graph::rmat(10, 16, 41, params);
+  Xoshiro256 rng(43);
+  for (int i = 0; i < 400; ++i)
+    el.add(5, static_cast<vid_t>(900 - 7 * rng.next_below(7)));
+  for (std::size_t i = 0; i < el.edges().size(); ++i)
+    el.edges()[i].weight = static_cast<weight_t>(i);
+
+  for (const int t : kThreadCounts) {
+    ThreadCountGuard guard(t);
+    const std::string at = " threads=" + std::to_string(t);
+    EXPECT_TRUE(csr_in_list_order(graph::Csr::build(el, Adjacency::kOut)))
+        << "CSR" << at;
+    EXPECT_TRUE(csr_in_list_order(graph::Csr::build(el, Adjacency::kIn)))
+        << "CSC" << at;
+    for (const PartitionBy by :
+         {PartitionBy::kDestination, PartitionBy::kSource}) {
+      partition::PartitionOptions opts;
+      opts.by = by;
+      opts.boundary_align = 8;
+      const Partitioning parts = partition::make_partitioning(el, 6, opts);
+      const std::string what = label("multigraph", parts, t);
+      for (const EdgeOrder order :
+           {EdgeOrder::kSource, EdgeOrder::kDestination, EdgeOrder::kHilbert})
+        EXPECT_TRUE(coo_in_list_order(
+            partition::PartitionedCoo::build(el, parts, order)))
+            << what << " COO order=" << static_cast<int>(order);
+      EXPECT_TRUE(
+          pcsr_in_list_order(partition::PartitionedCsr::build(el, parts)))
+          << what << " pruned CSR";
+      EXPECT_TRUE(pcpm_in_list_order(partition::PcpmBins::build(el, parts)))
+          << what << " PCPM";
+    }
+    graph::GraphBuilder b(el);
+    b.with_partitions(6).with_partitioned_csr(true).with_pcpm_bins(true);
+    for (const EdgeOrder order :
+         {EdgeOrder::kHilbert, EdgeOrder::kSource, EdgeOrder::kDestination}) {
+      const graph::Graph g = b.with_coo_order(order).build();
+      const std::string what =
+          "builder order=" + std::to_string(static_cast<int>(order)) + at;
+      EXPECT_TRUE(csr_in_list_order(g.csr())) << what;
+      EXPECT_TRUE(csr_in_list_order(g.csc())) << what;
+      EXPECT_TRUE(coo_in_list_order(g.coo())) << what;
+      EXPECT_TRUE(pcsr_in_list_order(g.partitioned_csr())) << what;
+      EXPECT_TRUE(pcpm_in_list_order(g.pcpm_bins())) << what;
+    }
+  }
+}
+
+TEST(LayoutBuild, DerivedBuildersRejectALayoutInTheWrongOrder) {
+  // The COO reads a CSR's rows, and the pruned CSR and the PCPM bins read
+  // COO buckets in one order; handed anything else they throw instead of
+  // building a layout in the wrong order.
+  const EdgeList el = graph::rmat(8, 4, 3);
+  const Partitioning parts = partition::make_partitioning(el, 4);
+  const auto csc = graph::Csr::build(el, Adjacency::kIn);
+  EXPECT_THROW((void)partition::PartitionedCoo::build(csc, parts),
+               std::invalid_argument);
+  const Partitioning other =
+      partition::make_partitioning(graph::rmat(9, 4, 3), 4);
+  EXPECT_THROW((void)partition::PartitionedCoo::build(
+                   graph::Csr::build(el, Adjacency::kOut), other),
+               std::invalid_argument);
+  for (const EdgeOrder order : {EdgeOrder::kDestination, EdgeOrder::kHilbert}) {
+    const auto coo = partition::PartitionedCoo::build(el, parts, order);
+    EXPECT_THROW((void)partition::PartitionedCsr::build(coo),
+                 std::invalid_argument);
+    EXPECT_THROW((void)partition::PcpmBins::build(coo, parts),
+                 std::invalid_argument);
+  }
+  partition::PartitionOptions by_src;
+  by_src.by = PartitionBy::kSource;
+  const auto src_coo = partition::PartitionedCoo::build(
+      el, partition::make_partitioning(el, 4, by_src));
+  EXPECT_THROW((void)partition::PcpmBins::build(src_coo, parts),
+               std::invalid_argument);
 }
 
 TEST(LayoutBuild, OutOfRangeEndpointsThrowBeforeAnyParallelPass) {

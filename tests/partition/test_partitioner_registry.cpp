@@ -40,7 +40,7 @@ TEST(PartitionerRegistry, ShipsTheStrategySuite) {
 TEST(PartitionerRegistry, LookupContract) {
   const auto& reg = PartitionerRegistry::instance();
   EXPECT_EQ(reg.find("no-such-strategy"), nullptr);
-  EXPECT_THROW(reg.at("no-such-strategy"), std::invalid_argument);
+  EXPECT_THROW((void)reg.at("no-such-strategy"), std::invalid_argument);
   EXPECT_EQ(&reg.at(kContiguousPartitioner),
             reg.find(kContiguousPartitioner));
   // entries() is sorted by (list_order, name) and matches names().
